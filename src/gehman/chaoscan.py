@@ -65,13 +65,14 @@ def lcp_series(x: BitsLike, y: BitsLike, N: int, cap: int) -> np.ndarray:
     length = N + cap
     ax = _bits(x, length)
     ay = _bits(y, length)
+    # ends lists the mismatches, then length; repeating each over the
+    # shifts up to it gives, in one pass, the first mismatch at or after
+    # every shift n.
     mism = np.flatnonzero(ax != ay)
-    ns = np.arange(N + 1, dtype=np.int64)
-    nxt = np.full(N + 1, length, dtype=np.int64)
-    pos = np.searchsorted(mism, ns, side="left")
-    inside = pos < mism.size
-    nxt[inside] = mism[pos[inside]]
-    return np.minimum(nxt - ns, cap)
+    ends = np.append(mism, length).astype(np.int64, copy=False)
+    nxt = np.repeat(ends, np.diff(ends, prepend=-1))[:N + 1]
+    nxt -= np.arange(N + 1, dtype=np.int64)
+    return np.minimum(nxt, cap, out=nxt)
 
 
 @dataclass
@@ -358,8 +359,10 @@ def certified_b_distality(
     v = mod1(QuadSurd(r_of(ct, config)) + q * config.beta)
     delta = circle_distance(u, v)
     if delta.sign() == 0:
-        raise RuntimeError(
-            "internal failure: zero circle offset between distinct base points"
+        # r_s ignores trailing zeros, so e.g. 010 and 0100 share a point
+        raise ValueError(
+            f"codes {cs} and {ct} alias: both have base point "
+            f"r = {r_of(cs, config)}, so their b-orbits coincide"
         )
     K = atom_profile(config.beta).depth_for(delta)
     subject = (shift(b_stream(cs, config), p), shift(b_stream(ct, config), q))

@@ -347,10 +347,11 @@ def _scan_points(codes: list[str], include_limits: bool):
     certs = {}
     for i, s in enumerate(codes):
         for t in codes[i + 1:]:
+            # one certificate bounds both pairs: its subject is the b-pair
             cert = certified_b_distality(s, t)
             certs[(f"x:{s}", f"x:{t}")] = cert
             if include_limits:
-                certs[(f"b:{s}", f"b:{t}")] = certified_b_distality(s, t)
+                certs[(f"b:{s}", f"b:{t}")] = cert
     return points, certs
 
 

@@ -354,10 +354,13 @@ def _packed_windows(arr: np.ndarray, n: int) -> np.ndarray:
     length = arr.shape[0] - n + 1
     if length <= 0:
         return np.empty(0, dtype=np.uint64)
-    w = np.zeros(length, dtype=np.uint64)
+    # One uint64 buffer, updated in place; the uint8 slices are widened
+    # by the ufunc's own buffering, not as full-size temporaries.
+    w = arr[:length].astype(np.uint64)
     one = np.uint64(1)
-    for j in range(n):
-        w = (w << one) | arr[j:j + length].astype(np.uint64)
+    for j in range(1, n):
+        w <<= one
+        w |= arr[j:j + length]
     return w
 
 
@@ -400,7 +403,7 @@ def recurrent_factors(
     if tail_start + n > horizon:
         raise ValueError("insufficient horizon for the requested tail window")
     arr = _bits_for(x, horizon)
-    windows = _packed_windows(arr, n)[tail_start:]
+    windows = _packed_windows(arr[tail_start:], n)
     values, counts = np.unique(windows, return_counts=True)
     keep = values[counts >= min_count]
     return {_unpack_word(int(v), n) for v in keep}

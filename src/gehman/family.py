@@ -175,11 +175,11 @@ _FACTOR_TABLES: dict[tuple, dict[int, set[str]]] = {}
 
 
 def _source_tables(
-    stream: SymbolStream, n: int, horizon: int
+    stream: SymbolStream, config: FamilyConfig, n: int, horizon: int
 ) -> dict[int, set[str]]:
-    # Factor tables are shared across classify calls; the label is
-    # unique per cached family stream.
-    tables = _FACTOR_TABLES.setdefault((stream.label, horizon), {})
+    # Factor tables are shared across classify calls.  A family stream's
+    # label names only its code, so the config must be in the key too.
+    tables = _FACTOR_TABLES.setdefault((stream.label, config, horizon), {})
     for m in range(1, n + 1):
         if m not in tables:
             tables[m] = factors(stream, m, horizon)
@@ -206,8 +206,8 @@ def classify_closure_case(
     n = len(w)
     case = _classify_word(
         w,
-        _source_tables(a, n, horizon),
-        _source_tables(b, n, horizon),
+        _source_tables(a, config, n, horizon),
+        _source_tables(b, config, n, horizon),
         a.prefix(n),
         b.prefix(n),
     )

@@ -43,6 +43,39 @@ class TestLcpSeries:
         for n in range(N + 1):
             assert series[n] == lcp(shift(x, n), shift(y, n), cap)
 
+    @given(st.data())
+    def test_raw_arrays_match_per_shift_lcp(self, data):
+        # Raw arrays are the path sturmian_no_LY_check takes; N and cap
+        # are drawn so that N + cap reaches (or nearly reaches) the end.
+        size = data.draw(st.integers(1, 300))
+        wx = data.draw(st.text("01", min_size=size, max_size=size))
+        flips = data.draw(st.sets(st.integers(0, size - 1), max_size=6))
+        wy = "".join(
+            "10"[int(c)] if i in flips else c for i, c in enumerate(wx)
+        )
+        N = data.draw(st.integers(0, size - 1))
+        cap = data.draw(st.integers(max(1, size - N - 2), size - N))
+        ax = np.frombuffer(wx.encode(), dtype=np.uint8) - ord("0")
+        ay = np.frombuffer(wy.encode(), dtype=np.uint8) - ord("0")
+        series = lcp_series(ax, ay, N, cap)
+        assert series.dtype == np.int64
+        assert series.shape == (N + 1,)
+        want = [lcp(wx[n:n + cap], wy[n:n + cap], cap) for n in range(N + 1)]
+        assert series.tolist() == want
+
+    @pytest.mark.parametrize("N,cap", [(0, 1), (0, 9), (7, 1), (250, 31)])
+    def test_raw_arrays_no_mismatch_and_last_only(self, N, cap):
+        length = N + cap
+        ax = np.zeros(length, dtype=np.uint8)
+        same = lcp_series(ax, ax.copy(), N, cap)
+        assert same.dtype == np.int64
+        assert same.tolist() == [cap] * (N + 1)
+        ay = ax.copy()
+        ay[-1] = 1
+        last = lcp_series(ax, ay, N, cap)
+        assert last.dtype == np.int64
+        assert last.tolist() == [min(length - 1 - n, cap) for n in range(N + 1)]
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             lcp_series(PeriodicStream("0"), PeriodicStream("1"), -1, 5)
@@ -169,6 +202,11 @@ class TestCertificates:
             certified_b_distality("010", "010")
         with pytest.raises(ValueError):
             certified_b_distality("010", "011", p=-1)
+
+    def test_rejects_aliasing_codes(self):
+        # trailing zeros leave r_s unchanged: zero offset, no bound
+        with pytest.raises(ValueError, match="010 and 0100 alias"):
+            certified_b_distality("010", "0100")
 
 
 class TestScrambledScan:

@@ -163,6 +163,13 @@ class TestScanCmd:
     def test_single_code_rejected(self):
         assert run_cli("scan", "--codes-inline", "000").returncode == 2
 
+    def test_aliasing_codes_rejected(self):
+        # 010 and 0100 are distinct strings but the same base point
+        p = run_cli("scan", "--codes-inline", "010,0100", "--horizon", "100")
+        assert p.returncode == 2
+        assert p.stderr.startswith("error: codes 010 and 0100 alias")
+        assert "Traceback" not in p.stderr
+
     def test_csv_not_supported(self):
         p = run_cli("scan", "--codes-inline", "000,111", "--format", "csv")
         assert p.returncode == 2

@@ -1,7 +1,9 @@
 """Rotation codings, word machinery, and refinement atoms."""
 
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import oracle
 from gehman.coding import (
     CutPointCollision,
+    _packed_windows,
     PeriodicStream,
     RotationCoding,
     WordStream,
@@ -135,6 +138,33 @@ class TestWordMachinery:
     def test_factor_monotone_in_horizon(self):
         a = sturmian_stream(SQRT2_4)
         assert factors(a, 6, 300) <= factors(a, 6, 3000)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64])
+    @given(word=st.text(alphabet="01", max_size=150))
+    def test_packed_windows_against_int(self, n, word):
+        arr = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
+        packed = _packed_windows(arr, n)
+        assert packed.dtype == np.uint64
+        want = [int(word[i:i + n], 2) for i in range(len(word) - n + 1)]
+        assert [int(v) for v in packed] == want  # empty when len < n
+
+    @given(
+        st.text(alphabet="01", min_size=2, max_size=200),
+        st.integers(1, 8),
+        st.integers(0, 150),
+        st.integers(2, 5),
+    )
+    def test_recurrent_against_counter(self, word, n, tail_start, min_count):
+        horizon = len(word)
+        if tail_start + n > horizon:
+            with pytest.raises(ValueError):
+                recurrent_factors(word, n, horizon, tail_start, min_count)
+            return
+        counts = Counter(
+            word[i:i + n] for i in range(tail_start, horizon - n + 1)
+        )
+        want = {w for w, c in counts.items() if c >= min_count}
+        assert recurrent_factors(word, n, horizon, tail_start, min_count) == want
 
     def test_recurrent_discards_transient(self):
         x = WordStream("0" * 10 + "1" * 500)

@@ -15,6 +15,7 @@ from gehman.family import (
     DEFAULT_CONFIG,
     MAX_CODE_LEN,
     AlphaCode,
+    FamilyConfig,
     a_stream,
     alpha_of,
     b_stream,
@@ -195,6 +196,19 @@ class TestClosureClassifier:
     )
     def test_negative_controls(self, w):
         assert classify_closure_case(w, "000") == "none"
+
+    def test_factor_tables_keyed_on_config(self):
+        # The same code under another config has other factor tables; a
+        # default-config call must not answer for it, nor it for later
+        # default-config calls.
+        cfg = FamilyConfig(
+            alpha_base=QuadSurd(0, Fraction(1, 5), 2),
+            beta=QuadSurd(0, Fraction(1, 7), 3),
+        )
+        w = a_stream("000", cfg).word(5000)[1234:1246]
+        assert classify_closure_case(w, "000") == "crossover-ba"
+        assert classify_closure_case(w, "000", config=cfg) == "S-side"
+        assert classify_closure_case(w, "000") == "crossover-ba"
 
     def test_rejects_bad_word(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,215 @@
+"""Before-and-after record of one change, measured with ``perfbench``.
+
+Usage, from the root of a checkout that holds the change:
+
+    python3 tools/bench_compare.py --parent <rev> --seed <n> --out BENCH_<k>.json
+
+Two sides are exported to a temporary directory: ``<rev>`` as
+committed, and the working tree's ``src/``.  Both use the parent's
+``perfbench/``, so the benchmark code and settings are the same, and
+each side is moved to one shared path for its runs, since the
+checkout's path alone was seen to shift ``gen-fresh`` ``wall_s`` by
+7-15%.  The record holds, for every workload and run length in ``BENCHMARK.json``:
+
+* ten untraced ``perfbench/run.py`` runs per side, alternating which
+  side runs first; pair i uses seed ``--seed`` + i on both sides (pick
+  seeds not used while the change was written), and each run's last
+  JSON line is kept as printed;
+* the median, quartiles and pair wins of every end-to-end metric, and
+  a verdict against its bound: "unresolved" when either side's
+  IQR/median exceeds the bound, else "better" when the change wins at
+  least 9 pairs and its median is below the parent's by more than the
+  parent's IQR, "worse" when the median rises by more than the bound,
+  and "within bound" otherwise;
+
+then one traced run per side over all the workloads, and the wall time,
+exit code and stdout sha256 of the default CLI commands of the ROADMAP
+baseline table, run once per side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+BOUNDS = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
+RUN_SECONDS = SPEC["run_seconds"]
+PAIRS = 10
+L5_COMMANDS = [
+    ["sturmian-check"],
+    ["scan", "--include-limits"],
+    ["scan"],
+    ["omega", "000", "111"],
+    ["diamond", "000"],
+    ["pair", "x:000", "a:000"],
+]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def _export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev, "src", "perfbench"],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+@contextlib.contextmanager
+def _at(side: Path, here: Path):
+    """Move the directory ``side`` to ``here`` while the block runs."""
+    side.rename(here)
+    try:
+        yield here
+    finally:
+        here.rename(side)
+
+
+def _bench(side: Path, workloads: str, seed: int, trace: bool) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workloads,
+         "--seed", str(seed), "--seconds", str(RUN_SECONDS),
+         "--trace", str(int(trace))],
+        cwd=side, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _l5(side: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(side / "src"))
+    out = []
+    for args in L5_COMMANDS:
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gehman.cli", *args],
+            cwd=side, env=env, capture_output=True,
+        )
+        out.append({
+            "command": "gehman " + " ".join(args),
+            "wall_s": time.perf_counter() - start,
+            "exit": proc.returncode,
+            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+        })
+    return out
+
+
+def _spread(values: list[float]) -> dict:
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def _verdict(p: dict, c: dict, wins: int, bound: float) -> str:
+    if max((s["q3"] - s["q1"]) / s["median"] for s in (p, c)) > bound:
+        return "unresolved"
+    if wins >= 9 and p["median"] - c["median"] > p["q3"] - p["q1"]:
+        return "better"
+    if c["median"] / p["median"] - 1 > bound:
+        return "worse"
+    return "within bound"
+
+
+def _summary(runs: list[dict]) -> dict:
+    out = {}
+    for metric in runs[0]["parent"]["metrics"]:
+        par = [r["parent"]["metrics"][metric]["value"] for r in runs]
+        chg = [r["change"]["metrics"][metric]["value"] for r in runs]
+        p, c = _spread(par), _spread(chg)
+        wins = sum(b < a for a, b in zip(par, chg))
+        out[metric] = {
+            "unit": runs[0]["parent"]["metrics"][metric]["unit"],
+            "parent": p,
+            "change": c,
+            "change_wins": wins,
+            "pairs": len(runs),
+            "median_ratio": c["median"] / p["median"],
+            "parent_iqr": p["q3"] - p["q1"],
+            "bound": BOUNDS[metric],
+            "verdict": _verdict(p, c, wins, BOUNDS[metric]),
+        }
+    out["failed"] = sum(r[s]["failed"] for r in runs for s in ("parent", "change"))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--seed", type=int, default=301)
+    args = ap.parse_args(argv)
+
+    tmp = Path(tempfile.mkdtemp(prefix="bench_compare_"))
+    try:
+        sides = {"parent": tmp / "parent", "change": tmp / "change"}
+        _export(args.parent, sides["parent"])
+        sides["change"].mkdir()
+        shutil.copytree(sides["parent"] / "perfbench", sides["change"] / "perfbench")
+        shutil.copytree(ROOT / "src", sides["change"] / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        record: dict = {
+            "parent": _git("rev-parse", args.parent),
+            "change": _git("rev-parse", "HEAD")
+            + (" + working tree" if _git("status", "--porcelain", "src") else ""),
+            "machine": {
+                "cpus": os.cpu_count(),
+                "platform": platform.platform(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+            "run_seconds": RUN_SECONDS,
+            "workloads": {},
+        }
+        for w in WORKLOADS:
+            runs = []
+            for i in range(PAIRS):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": args.seed + i, "first": order[0]}
+                for side in order:
+                    with _at(sides[side], tmp / "run") as here:
+                        pair[side] = _bench(here, w, args.seed + i, False)
+                    print(f"{w} pair {i} {side}: "
+                          f"{pair[side]['metrics']['wall_s']['value']:.4f} s",
+                          file=sys.stderr)
+                runs.append(pair)
+            record["workloads"][w] = {"runs": runs, "summary": _summary(runs)}
+        record["traced"], record["l5"] = {}, {}
+        for side, path in sides.items():
+            with _at(path, tmp / "run") as here:
+                record["traced"][side] = _bench(
+                    here, ",".join(WORKLOADS), args.seed, True)
+                record["l5"][side] = _l5(here)
+        record["l5_identical"] = [
+            {k: v for k, v in a.items() if k != "wall_s"}
+            == {k: v for k, v in b.items() if k != "wall_s"}
+            for a, b in zip(record["l5"]["parent"], record["l5"]["change"])
+        ]
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
