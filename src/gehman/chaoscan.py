@@ -118,6 +118,12 @@ def _checkpoints(m: int, N: int) -> list[int]:
     return out
 
 
+def _own_subject(certificate, x, y) -> bool:
+    """True when the certificate bounds exactly the pair (x, y)."""
+    streams = certificate.subject_streams if certificate is not None else None
+    return streams is not None and streams[0] is x and streams[1] is y
+
+
 def classify_pair(
     x: BitsLike,
     y: BitsLike,
@@ -126,6 +132,8 @@ def classify_pair(
     certificate: DistalityCertificate | None = None,
     x_label: str | None = None,
     y_label: str | None = None,
+    *,
+    subject_scans: dict | None = None,
 ) -> PairVerdict:
     """Scan shifts n = 0..N at lcp cap m+1 and classify the pair.
 
@@ -134,11 +142,23 @@ def classify_pair(
     lcp <= 2.  A certificate overrides the empirical verdict (its bound
     is a theorem); both the pair scan and the certificate's subject
     scan are checked against the bound and reported.
+
+    When the subject streams are the scanned pair itself, one scan at
+    cap max(m+1, K+1) serves both.  ``subject_scans`` keeps each
+    certificate's subject result by (id, N), so that a caller
+    classifying several pairs under one certificate scans its subject
+    once.
     """
     if N < 1 or m < 1:
         raise ValueError("need N >= 1 and m >= 1")
     cap = m + 1
-    series = lcp_series(x, y, N, cap)
+    full = None
+    if _own_subject(certificate, x, y):
+        # a scan at cap c yields every lower cap by np.minimum
+        full = lcp_series(x, y, N, max(cap, certificate.K + 1))
+        series = np.minimum(full, cap)
+    else:
+        series = lcp_series(x, y, N, cap)
     max_val = int(series.max())
     max_at = int(np.argmax(series))
 
@@ -172,14 +192,22 @@ def classify_pair(
             "pair_ok": max_val < certificate.K,
         }
         if certificate.subject_streams is not None:
-            u, v = certificate.subject_streams
-            sub = lcp_series(u, v, N, certificate.K + 1)
-            smax = int(sub.max())
+            sub_cap = certificate.K + 1
+            scans = {} if subject_scans is None else subject_scans
+            key = (id(certificate), N)
+            if key not in scans:
+                if full is not None:
+                    sub = np.minimum(full, sub_cap, out=full)
+                else:
+                    sub = lcp_series(*certificate.subject_streams, N, sub_cap)
+                # the entry keeps the certificate alive, so its id stays unique
+                scans[key] = (certificate, int(sub.max()), int(np.argmax(sub)))
+            _, smax, smax_at = scans[key]
             bound_check.update(
                 subject=certificate.subject,
                 subject_max_lcp=smax,
-                subject_max_at=int(np.argmax(sub)),
-                subject_cap=certificate.K + 1,
+                subject_max_at=smax_at,
+                subject_cap=sub_cap,
                 subject_ok=smax < certificate.K,
             )
         bound_check["ok"] = bound_check.get("subject_ok", bound_check["pair_ok"])
@@ -302,25 +330,38 @@ def scrambled_scan(
         # repeated inputs are legal; disambiguate their labels
         labels.append(p.label if p.label not in labels else f"{p.label}#{i}")
     certificates = certificates or {}
-    records = []
-    edges: set[frozenset] = set()
+    pairs = []
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             cert = certificates.get((labels[i], labels[j])) or certificates.get(
                 (labels[j], labels[i])
             )
-            pv = classify_pair(
-                points[i],
-                points[j],
-                N,
-                m,
-                certificate=cert,
-                x_label=labels[i],
-                y_label=labels[j],
-            )
-            records.append(pv)
-            if pv.verdict == VERDICT_LY:
-                edges.add(frozenset((labels[i], labels[j])))
+            pairs.append((i, j, cert))
+    # A pair that is its own certificate's subject goes first: its one
+    # scan covers both caps and leaves the subject result for the other
+    # pairs under that certificate.  Records keep the pair order.
+    subject_scans: dict = {}
+    verdicts = {}
+    for i, j, cert in sorted(
+        pairs, key=lambda p: _own_subject(p[2], points[p[0]], points[p[1]]),
+        reverse=True,
+    ):
+        verdicts[i, j] = classify_pair(
+            points[i],
+            points[j],
+            N,
+            m,
+            certificate=cert,
+            x_label=labels[i],
+            y_label=labels[j],
+            subject_scans=subject_scans,
+        )
+    records = [verdicts[i, j] for i, j, _ in pairs]
+    edges = {
+        frozenset((pv.x_label, pv.y_label))
+        for pv in records
+        if pv.verdict == VERDICT_LY
+    }
     size, witness = _max_clique(labels, edges)
     return ScrambleReport(
         point_labels=list(labels),

@@ -17,7 +17,7 @@ picking a side.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -445,24 +445,6 @@ def factor_count_profile(x: WordLike, n_max: int, horizon: int) -> list[int]:
 # -- refinement atoms ------------------------------------------------------
 
 
-def _arc_pair_spread(l1, e1, l2, e2) -> QuadSurd:
-    """Exact sup of circle distance between closed arcs [l1,l1+e1], [l2,l2+e2].
-
-    The oriented gap from a point of the first arc to one of the second
-    sweeps a closed arc of length e1+e2 starting at l2-l1-e1; the sup of
-    min(g, 1-g) over that arc is 1/2 if it covers 1/2, else an endpoint.
-    """
-    extent = e1 + e2
-    half = QuadSurd(Fraction(1, 2))
-    if QuadSurd(1) <= extent:
-        return half
-    g0 = mod1(l2 - l1 - e1)
-    if mod1(half - g0) <= extent:
-        return half
-    g1 = mod1(g0 + extent)
-    return max(min(g0, QuadSurd(1) - g0), min(g1, QuadSurd(1) - g1))
-
-
 class AtomProfile:
     """Cut-point refinement of the circle for one rotation angle.
 
@@ -472,6 +454,24 @@ class AtomProfile:
     full region of one k-symbol word is a union of such arcs and need
     not be connected, so separation depths are certified against exact
     word-region diameters, not raw gaps.
+
+    Coordinates are integers.  With alpha = a + b*sqrt(d) and
+    M = lcm(4, den a, den b), every cut is (u + v*sqrt(d))/M, kept as a
+    sorted list of (u, v) pairs; gaps and arcs use the same form, and
+    every floor, order and max is decided by ``isqrt`` and
+    :func:`surd_sign_int`.  Each depth inserts its two new cuts by
+    bisection and updates a count of the gap lengths (a rotation has
+    only a few distinct gaps).
+
+    Words grow by one symbol per depth.  Arc j runs from cut j to the
+    next cut; bit i of its word is symbol i+1 of every point inside it.
+    A split arc passes its word to both halves, and the new symbol
+    k+1 is 0 exactly on the arcs from cut -k*alpha to cut 1/4 - k*alpha.
+    A word region made of one arc of length e has diameter min(e, 1/2),
+    so the largest region is min(diameter(k), 1/2) unless a word owning
+    several arcs spreads wider; only those words need the pair spread.
+    Once the words are distinct and every arc is shorter than 1/4 they
+    stay distinct at every later depth, and they are dropped.
     """
 
     def __init__(self, alpha):
@@ -479,27 +479,145 @@ class AtomProfile:
         if alpha_q is None or alpha_q.is_rational:
             raise ValueError("atom profiles require an irrational angle")
         self.alpha = mod1(alpha_q)
-        self._cuts: list[QuadSurd] = []
+        a, b = self.alpha.a, self.alpha.b
+        m = math.lcm(4, a.denominator, b.denominator)
+        self._m = m
+        self._d = self.alpha.d
+        self._du = int(a * m)
+        self._dv = int(b * m)
+        # depth 1: cuts 0 and 1/4; [0, 1/4) codes 0, [1/4, 1) codes 1
+        self._cuts: list[tuple[int, int]] = [(0, 0), (m // 4, 0)]
+        self._words: list[int] | None = [0, 1]
+        self._gaps = Counter({(m // 4, 0): 1, (m - m // 4, 0): 1})
         self._diameters: list[QuadSurd] = []
-        self._depth = 0
-        self._cyl: dict[int, QuadSurd] = {}
+        self._cylinders: list[QuadSurd] = []
+        self._record()
+
+    # -- integer coordinates ----------------------------------------------
+
+    def _mod1(self, u: int, v: int) -> tuple[int, int]:
+        # floor((u + v*sqrt(d))/M) = (u + floor(v*sqrt(d))) // M, and
+        # v*sqrt(d) is never an integer unless v == 0
+        root = math.isqrt(v * v * self._d)
+        fl = root if v >= 0 else -root - 1
+        return u - self._m * ((u + fl) // self._m), v
+
+    def _less(self, x: tuple[int, int], y: tuple[int, int]) -> bool:
+        return surd_sign_int(x[0] - y[0], x[1] - y[1], self._d) < 0
+
+    def _surd(self, x: tuple[int, int]) -> QuadSurd:
+        return QuadSurd(Fraction(x[0], self._m), Fraction(x[1], self._m), self._d)
+
+    def _arc(self, j: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        left = self._cuts[j]
+        if j + 1 < len(self._cuts):
+            right = self._cuts[j + 1]
+            return left, (right[0] - left[0], right[1] - left[1])
+        right = self._cuts[0]
+        return left, (right[0] + self._m - left[0], right[1] - left[1])
+
+    # -- refinement -------------------------------------------------------
+
+    def _insert(self, u: int, v: int) -> int:
+        """Insert the cut mod1((u + v*sqrt(d))/M); return its index."""
+        cut = self._mod1(u, v)
+        cuts, m = self._cuts, self._m
+        lo, hi = 0, len(cuts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._less(cuts[mid], cut):
+                lo = mid + 1
+            else:
+                hi = mid
+        # the new cut splits the arc ending at cuts[lo]; index -1 is the
+        # arc that wraps past 1
+        (pu, pv), (nu, nv) = cuts[lo - 1], cuts[lo % len(cuts)]
+        left = (cut[0] - pu + (m if lo == 0 else 0), cut[1] - pv)
+        right = (nu - cut[0] + (m if lo == len(cuts) else 0), nv - cut[1])
+        gaps = self._gaps
+        split = (left[0] + right[0], left[1] + right[1])
+        gaps[split] -= 1
+        if not gaps[split]:
+            del gaps[split]
+        gaps[left] += 1
+        gaps[right] += 1
+        cuts.insert(lo, cut)
+        if self._words is not None:
+            self._words.insert(lo, self._words[lo - 1])
+        return lo
 
     def _advance(self) -> None:
-        i = self._depth
-        for c in (QuadSurd(0), QuadSurd(Fraction(1, 4))):
-            insort(self._cuts, mod1(c - i * self.alpha))
-        self._depth += 1
-        gaps = [
-            self._cuts[j + 1] - self._cuts[j]
-            for j in range(len(self._cuts) - 1)
-        ]
-        gaps.append(QuadSurd(1) - self._cuts[-1] + self._cuts[0])
-        self._diameters.append(max(gaps))
+        k = len(self._diameters)
+        u, v = -k * self._du, -k * self._dv
+        p = self._insert(u, v)
+        q = self._insert(u + self._m // 4, v)
+        if q <= p:
+            p += 1
+        words = self._words
+        if words is not None:
+            # symbol k+1 is 0 on arcs p..q-1 (cyclically), 1 elsewhere
+            bit = 1 << k
+            if p < q:
+                words[:p] = [w | bit for w in words[:p]]
+                words[q:] = [w | bit for w in words[q:]]
+            else:
+                words[q:p] = [w | bit for w in words[q:p]]
+        self._record()
+
+    def _record(self) -> None:
+        top = None
+        for gap in self._gaps:
+            if top is None or self._less(top, gap):
+                top = gap
+        self._diameters.append(self._surd(top))
+        half = (self._m // 2, 0)
+        best = top if self._less(top, half) else half
+        words = self._words
+        if words is not None and len(set(words)) < len(words):
+            groups: dict[int, list[int]] = {}
+            for j, w in enumerate(words):
+                groups.setdefault(w, []).append(j)
+            for members in groups.values():
+                arcs = [self._arc(j) for j in members]
+                for x, (l1, e1) in enumerate(arcs):
+                    for l2, e2 in arcs[x + 1:]:
+                        spread = self._arc_pair_spread(l1, e1, l2, e2)
+                        if self._less(best, spread):
+                            best = spread
+        elif self._less((4 * top[0], 4 * top[1]), (self._m, 0)):
+            # Distinct words stay distinct once every arc is shorter than
+            # 1/4: the two new cuts, 1/4 apart, then split two different
+            # arcs, and the halves of each get different new symbols.
+            # Every later region is a single arc, so the words can go.
+            self._words = None
+        self._cylinders.append(self._surd(best))
+
+    def _arc_pair_spread(self, l1, e1, l2, e2) -> tuple[int, int]:
+        """Exact sup of circle distance between closed arcs [l1,l1+e1], [l2,l2+e2].
+
+        The oriented gap from a point of the first arc to one of the
+        second sweeps a closed arc of length e1+e2 starting at l2-l1-e1;
+        the sup of min(g, 1-g) over that arc is 1/2 if it covers 1/2,
+        else an endpoint.
+        """
+        m = self._m
+        half = (m // 2, 0)
+        extent = (e1[0] + e2[0], e1[1] + e2[1])
+        if not self._less(extent, (m, 0)):
+            return half
+        g0 = self._mod1(l2[0] - l1[0] - e1[0], l2[1] - l1[1] - e1[1])
+        if not self._less(extent, self._mod1(half[0] - g0[0], -g0[1])):
+            return half
+        g1 = self._mod1(g0[0] + extent[0], g0[1] + extent[1])
+        near = [g if self._less(g, half) else (m - g[0], -g[1]) for g in (g0, g1)]
+        return near[1] if self._less(near[0], near[1]) else near[0]
+
+    # -- queries ----------------------------------------------------------
 
     def diameter(self, k: int) -> QuadSurd:
         if k < 1:
             raise ValueError("depth must be >= 1")
-        while self._depth < k:
+        while len(self._diameters) < k:
             self._advance()
         return self._diameters[k - 1]
 
@@ -514,32 +632,9 @@ class AtomProfile:
         """
         if k < 1:
             raise ValueError("depth must be >= 1")
-        got = self._cyl.get(k)
-        if got is not None:
-            return got
-        cuts = sorted(
-            mod1(c - i * self.alpha)
-            for c in (QuadSurd(0), QuadSurd(Fraction(1, 4)))
-            for i in range(k)
-        )
-        arcs = []
-        for j, left in enumerate(cuts):
-            right = cuts[j + 1] if j + 1 < len(cuts) else cuts[0] + 1
-            arcs.append((left, right - left))
-        groups: dict[str, list] = {}
-        for left, length in arcs:
-            mid = mod1(left + length / 2)
-            word = RotationCoding(mid, self.alpha).word(k)
-            groups.setdefault(word, []).append((left, length))
-        best = QuadSurd(0)
-        for members in groups.values():
-            for a in range(len(members)):
-                for b in range(a, len(members)):
-                    spread = _arc_pair_spread(*members[a], *members[b])
-                    if best < spread:
-                        best = spread
-        self._cyl[k] = best
-        return best
+        while len(self._cylinders) < k:
+            self._advance()
+        return self._cylinders[k - 1]
 
     def depth_for(self, delta, max_depth: int = 100_000) -> int:
         """Minimal k whose word regions all have diameter < delta.

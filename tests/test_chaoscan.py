@@ -1,5 +1,6 @@
 """Pair classification, scrambled-set scans, certificates, limit checks."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,18 @@ class TestClassifyPair:
         assert bc["subject_max_lcp"] < cert.K
         assert bc["subject_cap"] == cert.K + 1
 
+    @pytest.mark.parametrize("m", [4, 20])
+    def test_own_subject_scan_matches_separate_scans(self, m):
+        # the pair scanned once at max(m+1, K+1) and clipped gives what
+        # separate scans at m+1 and K+1 give (K = 8 lies between)
+        cert = certified_b_distality("000", "111")
+        ax, ay = b_stream("000").array(3000), b_stream("111").array(3000)
+        own = replace(cert, subject_streams=(ax, ay))
+        apart = replace(cert, subject_streams=(ax.copy(), ay.copy()))
+        got = classify_pair(ax, ay, 2000, m, certificate=own)
+        want = classify_pair(ax, ay, 2000, m, certificate=apart)
+        assert verdict_record(got) == verdict_record(want)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             classify_pair(PeriodicStream("0"), PeriodicStream("1"), 0, 5)
@@ -234,6 +247,29 @@ class TestScrambledScan:
         )
         assert rep.records[0].certificate is cert
         assert rep.records[0].verdict == VERDICT_DISTAL
+
+    def test_shared_certificate_subject_scanned_once(self, monkeypatch):
+        # x-pair and b-pair share one certificate whose subject is the
+        # b-pair: two scans in all, and records stay in pair order
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:])
+            return lcp_series(*args)
+
+        cert = certified_b_distality("000", "111")
+        points = [x_stream("000"), x_stream("111"), b_stream("000"), b_stream("111")]
+        certs = {("x:000", "x:111"): cert, ("b:000", "b:111"): cert}
+        want = scrambled_scan(points, 1000, 10, certificates=certs)
+        monkeypatch.setattr("gehman.chaoscan.lcp_series", counted)
+        got = scrambled_scan(points, 1000, 10, certificates=certs)
+        assert len(calls) == 6
+        assert [verdict_record(pv) for pv in got.records] == [
+            verdict_record(pv) for pv in want.records
+        ]
+        assert [(pv.x_label, pv.y_label) for pv in got.records][:2] == [
+            ("x:000", "x:111"), ("x:000", "b:000")
+        ]
 
     def test_rejects_tiny_point_sets(self):
         with pytest.raises(ValueError):

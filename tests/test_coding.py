@@ -1,15 +1,18 @@
 """Rotation codings, word machinery, and refinement atoms."""
 
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from gehman.chaoscan import certified_b_distality
 from gehman.coding import (
+    AtomProfile,
     CutPointCollision,
     _packed_windows,
     PeriodicStream,
@@ -28,6 +31,7 @@ from gehman.coding import (
     sturmian_stream,
 )
 from gehman.exactnum import QuadSurd, circle_distance, mod1
+from gehman.family import FamilyConfig
 
 SQRT2_4 = QuadSurd(0, Fraction(1, 4), 2)
 SQRT3_8 = QuadSurd(0, Fraction(1, 8), 3)
@@ -228,3 +232,153 @@ class TestAtoms:
         u = RotationCoding(r, SQRT3_8)
         v = RotationCoding(rp, SQRT3_8)
         assert lcp(u, v, k + 5) < k
+
+
+# -- reference atom profile ------------------------------------------------
+#
+# The QuadSurd algorithm AtomProfile replaced: every gap recomputed at
+# every depth, and word regions found by coding each arc's midpoint
+# with a fresh RotationCoding.  Kept as the reference for the integer
+# profile.
+
+
+def reference_arc_pair_spread(l1, e1, l2, e2) -> QuadSurd:
+    extent = e1 + e2
+    half = QuadSurd(Fraction(1, 2))
+    if QuadSurd(1) <= extent:
+        return half
+    g0 = mod1(l2 - l1 - e1)
+    if mod1(half - g0) <= extent:
+        return half
+    g1 = mod1(g0 + extent)
+    return max(min(g0, QuadSurd(1) - g0), min(g1, QuadSurd(1) - g1))
+
+
+class ReferenceAtomProfile:
+    def __init__(self, alpha):
+        self.alpha = mod1(alpha)
+        self._cuts: list[QuadSurd] = []
+        self._diameters: list[QuadSurd] = []
+        self._cyl: dict[int, QuadSurd] = {}
+
+    def diameter(self, k: int) -> QuadSurd:
+        while len(self._diameters) < k:
+            i = len(self._diameters)
+            for c in (QuadSurd(0), QuadSurd(Fraction(1, 4))):
+                insort(self._cuts, mod1(c - i * self.alpha))
+            gaps = [
+                self._cuts[j + 1] - self._cuts[j]
+                for j in range(len(self._cuts) - 1)
+            ]
+            gaps.append(QuadSurd(1) - self._cuts[-1] + self._cuts[0])
+            self._diameters.append(max(gaps))
+        return self._diameters[k - 1]
+
+    def cylinder_diameter(self, k: int) -> QuadSurd:
+        if k in self._cyl:
+            return self._cyl[k]
+        cuts = sorted(
+            mod1(c - i * self.alpha)
+            for c in (QuadSurd(0), QuadSurd(Fraction(1, 4)))
+            for i in range(k)
+        )
+        groups: dict[str, list] = {}
+        for j, left in enumerate(cuts):
+            right = cuts[j + 1] if j + 1 < len(cuts) else cuts[0] + 1
+            mid = mod1(left + (right - left) / 2)
+            word = RotationCoding(mid, self.alpha).word(k)
+            groups.setdefault(word, []).append((left, right - left))
+        best = QuadSurd(0)
+        for members in groups.values():
+            for a in range(len(members)):
+                for b in range(a, len(members)):
+                    spread = reference_arc_pair_spread(*members[a], *members[b])
+                    if best < spread:
+                        best = spread
+        self._cyl[k] = best
+        return best
+
+    def depth_for(self, delta) -> int:
+        k = 1
+        while not (self.diameter(k) < delta and self.cylinder_diameter(k) < delta):
+            k += 1
+        return k
+
+
+def assert_same_surd(got: QuadSurd, want: QuadSurd) -> None:
+    assert got == want and str(got) == str(want)
+
+
+SURD_ANGLES = st.builds(
+    lambda a, b, sign, d: QuadSurd(a, sign * b, d),
+    st.fractions(min_value=-2, max_value=2, max_denominator=12).filter(bool),
+    st.fractions(min_value=Fraction(1, 12), max_value=2, max_denominator=12),
+    st.sampled_from([1, -1]),
+    st.sampled_from([2, 3, 5, 7, 13]),
+)
+
+
+class TestAtomProfileAgainstReference:
+    @settings(max_examples=5)
+    @given(SURD_ANGLES)
+    def test_every_depth_to_40(self, alpha):
+        prof, ref = AtomProfile(alpha), ReferenceAtomProfile(alpha)
+        for k in range(1, 41):
+            assert_same_surd(prof.diameter(k), ref.diameter(k))
+            assert_same_surd(prof.cylinder_diameter(k), ref.cylinder_diameter(k))
+
+    def test_multi_arc_words(self):
+        # sqrt(2)/4 keeps words that own several arcs (111 at depth 3)
+        prof, ref = AtomProfile(SQRT2_4), ReferenceAtomProfile(SQRT2_4)
+        for k in range(1, 16):
+            assert_same_surd(prof.cylinder_diameter(k), ref.cylinder_diameter(k))
+
+    @pytest.mark.parametrize("k", [70, 100, 142])
+    def test_beta_deep(self, k):
+        # words here are longer than 64 bits
+        prof, ref = AtomProfile(SQRT3_8), ReferenceAtomProfile(SQRT3_8)
+        assert_same_surd(prof.diameter(k), ref.diameter(k))
+        assert_same_surd(prof.cylinder_diameter(k), ref.cylinder_diameter(k))
+
+    def test_depth_for_non_default_config(self):
+        config = FamilyConfig(
+            alpha_base=QuadSurd(0, Fraction(1, 5), 2),
+            beta=QuadSurd(0, Fraction(1, 7), 3),
+        )
+        ref = ReferenceAtomProfile(config.beta)
+        codes = ["000", "001", "010", "011", "100", "101", "110", "111"]
+        seen = {}
+        for i, s in enumerate(codes):
+            for t in codes[i + 1:]:
+                cert = certified_b_distality(s, t, config=config)
+                if cert.delta not in seen:
+                    seen[cert.delta] = ref.depth_for(cert.delta)
+                assert cert.K == seen[cert.delta]
+        assert max(seen.values()) == 96
+
+
+class TestAtomProfileState:
+    DELTAS = [Fraction(1, n) for n in (3, 9, 27, 81, 200, 243, 500)]
+
+    def test_depth_for_independent_of_history(self):
+        fresh = [AtomProfile(SQRT3_8).depth_for(d) for d in self.DELTAS]
+        for order in (self.DELTAS, self.DELTAS[::-1]):
+            prof = AtomProfile(SQRT3_8)
+            prof.diameter(max(fresh) + 20)
+            got = {d: prof.depth_for(d) for d in order}
+            assert [got[d] for d in self.DELTAS] == fresh
+        assert fresh == sorted(fresh)
+
+    def test_rejects_depth_zero(self):
+        prof = AtomProfile(SQRT3_8)
+        with pytest.raises(ValueError):
+            prof.diameter(0)
+        with pytest.raises(ValueError):
+            prof.cylinder_diameter(0)
+
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(1, 3), QuadSurd(Fraction(5, 4)), QuadSurd(0, 2, 4), "x"]
+    )
+    def test_rejects_rational_or_non_numeric_angle(self, alpha):
+        with pytest.raises(ValueError):
+            AtomProfile(alpha)
