@@ -637,28 +637,6 @@ def contained_in_short_periodic(words: set[str], n: int, max_period: int = 12) -
     return False
 
 
-_RECURRENT_CACHE: dict[tuple, set[str]] = {}
-_FACTOR_CACHE: dict[tuple, set[str]] = {}
-
-
-def _recurrent_cached(stream, config, n, horizon, tail_start, min_count):
-    key = (stream.label, config, n, horizon, tail_start, min_count)
-    val = _RECURRENT_CACHE.get(key)
-    if val is None:
-        val = recurrent_factors(stream, n, horizon, tail_start, min_count)
-        _RECURRENT_CACHE[key] = val
-    return val
-
-
-def _factors_cached(stream, config, n, horizon):
-    key = (stream.label, config, n, horizon)
-    val = _FACTOR_CACHE.get(key)
-    if val is None:
-        val = factors(stream, n, horizon)
-        _FACTOR_CACHE[key] = val
-    return val
-
-
 def omega_scrambled_check(
     s: CodeLike,
     t: CodeLike,
@@ -688,35 +666,33 @@ def omega_scrambled_check(
     xt = x_stream(ct, config)
     bs = b_stream(cs, config)
     bt = b_stream(ct, config)
-    rows = []
-    for n in n_range:
+    rows: dict[int, OmegaRow] = {}
+    # longest first: each stream packs and sorts its windows once, and
+    # the shorter lengths are read off that spectrum
+    for n in sorted(set(n_range), reverse=True):
         if tail_start + n > horizon or z_horizon < n:
-            rows.append(
-                OmegaRow(n, 0, 0, 0, 0, 0, False, False, note="insufficient horizon")
+            rows[n] = OmegaRow(
+                n, 0, 0, 0, 0, 0, False, False, note="insufficient horizon"
             )
             continue
-        r_s = _recurrent_cached(xs, config, n, horizon, tail_start, min_count)
-        r_t = _recurrent_cached(xt, config, n, horizon, tail_start, min_count)
-        z_common = _factors_cached(bs, config, n, z_horizon) & _factors_cached(
-            bt, config, n, z_horizon
-        )
+        r_s = recurrent_factors(xs, n, horizon, tail_start, min_count)
+        r_t = recurrent_factors(xt, n, horizon, tail_start, min_count)
+        z_common = factors(bs, n, z_horizon) & factors(bt, n, z_horizon)
         inter = r_s & r_t
-        rows.append(
-            OmegaRow(
-                n=n,
-                diff_st=len(r_s - r_t),
-                diff_ts=len(r_t - r_s),
-                intersection=len(inter),
-                z_total=len(z_common),
-                z_missing=len(z_common - inter),
-                aperiodic_s=not contained_in_short_periodic(r_s, n),
-                aperiodic_t=not contained_in_short_periodic(r_t, n),
-            )
+        rows[n] = OmegaRow(
+            n=n,
+            diff_st=len(r_s - r_t),
+            diff_ts=len(r_t - r_s),
+            intersection=len(inter),
+            z_total=len(z_common),
+            z_missing=len(z_common - inter),
+            aperiodic_s=not contained_in_short_periodic(r_s, n),
+            aperiodic_t=not contained_in_short_periodic(r_t, n),
         )
     return OmegaScrambleReport(
         s=cs.s,
         t=ct.s,
-        rows=rows,
+        rows=[rows[n] for n in n_range],
         params={
             "horizon": horizon,
             "tail_start": tail_start,

@@ -12,6 +12,7 @@ errors, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -274,7 +275,7 @@ def cmd_diamond(run: _Run) -> int:
     a = a_stream(code)
     b = b_stream(code)
     x = x_stream(code)
-    lower = omega_lower_check(a, b, n, horizon, source_horizon=source_horizon)
+    lower = omega_lower_check(a, b, n, horizon, source_horizon=source_horizon, subject=x)
     upper = omega_upper_check(a, b, n, horizon, source_horizon=source_horizon, subject=x)
     lines = []
     for name, rep in (("lower", lower), ("upper", upper)):
@@ -531,7 +532,10 @@ def cmd_dendrite(run: _Run) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing does not change the parser, and
+    # building it costs far more than a parse.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--horizon", type=int, help="scan horizon N")
     common.add_argument("--resolution", type=int, help="lcp resolution m")

@@ -46,10 +46,16 @@ class CutPointCollision(Exception):
 
 
 class SymbolStream:
-    """Infinite binary word with a growable memoized prefix."""
+    """Infinite binary word with a growable memoized prefix.
+
+    ``_spectra`` memoizes the factor machinery: for each (horizon,
+    tail_start) the window spectrum at the longest factor length asked
+    so far, from which every shorter length is derived.
+    """
 
     def __init__(self, label: str = "stream"):
         self._buf = bytearray()
+        self._spectra: dict[tuple[int, int], _Spectrum] = {}
         self.label = label
 
     def _extend_to(self, n: int) -> None:
@@ -372,13 +378,72 @@ def _unpack_word(value: int, n: int) -> str:
     return format(value, f"0{n}b")
 
 
+class _Spectrum(NamedTuple):
+    """Sorted distinct packed n_max-windows of a symbol range, with counts.
+
+    ``tail`` is the last n_max-1 symbols of the range: a shorter window
+    that starts after the last full n_max-window lies inside it.
+    """
+
+    n_max: int
+    values: np.ndarray
+    counts: np.ndarray
+    tail: np.ndarray
+
+
+def _spectrum_for(x: WordLike, n: int, horizon: int, tail_start: int) -> _Spectrum:
+    """Window spectrum of symbols tail_start+1..horizon at length >= n.
+
+    A stream keeps one spectrum per (horizon, tail_start), at the
+    longest length asked so far; a longer request replaces it.
+    """
+    memo = x._spectra if isinstance(x, SymbolStream) else {}
+    spec = memo.get((horizon, tail_start))
+    if spec is None or not 1 <= n <= spec.n_max:
+        arr = _bits_for(x, horizon)[tail_start:]
+        values, counts = np.unique(_packed_windows(arr, n), return_counts=True)
+        tail = arr[max(arr.shape[0] - n + 1, 0):].copy()
+        spec = memo[horizon, tail_start] = _Spectrum(n, values, counts, tail)
+    return spec
+
+
+def _counts_at(spec: _Spectrum, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed length-n windows (n <= n_max) and their counts.
+
+    The n-prefixes of the sorted n_max-windows are sorted, so equal ones
+    form runs whose counts add up; the windows that start in ``tail``
+    are counted in exactly.
+    """
+    pref = spec.values >> np.uint64(spec.n_max - n)
+    edge = np.ones(pref.shape, dtype=bool)
+    edge[1:] = pref[1:] != pref[:-1]
+    starts = np.flatnonzero(edge)
+    values = pref[starts]
+    counts = np.add.reduceat(spec.counts, starts) if starts.size else spec.counts.copy()
+    extra: Counter = Counter()
+    v, mask = 0, (1 << n) - 1
+    for i, b in enumerate(spec.tail.tolist()):
+        v = ((v << 1) | b) & mask
+        if i >= n - 1:
+            extra[v] += 1
+    if extra:
+        ev = np.fromiter(extra.keys(), dtype=np.uint64, count=len(extra))
+        ec = np.fromiter(extra.values(), dtype=np.int64, count=len(extra))
+        pos = np.searchsorted(values, ev)
+        new = pos >= values.size
+        new[~new] = values[pos[~new]] != ev[~new]
+        np.add.at(counts, pos[~new], ec[~new])
+        values = np.concatenate((values, ev[new]))
+        counts = np.concatenate((counts, ec[new]))
+    return values, counts
+
+
 def factors(x: WordLike, n: int, horizon: int) -> set[str]:
     """All length-n words occurring in the first ``horizon`` symbols."""
     if horizon < n:
         raise ValueError("horizon must be at least the factor length")
-    arr = _bits_for(x, horizon)
-    packed = np.unique(_packed_windows(arr, n))
-    return {_unpack_word(int(v), n) for v in packed}
+    values, _ = _counts_at(_spectrum_for(x, n, horizon, 0), n)
+    return {_unpack_word(v, n) for v in values.tolist()}
 
 
 def recurrent_factors(
@@ -402,44 +467,19 @@ def recurrent_factors(
         raise ValueError("min_count must be >= 2")
     if tail_start + n > horizon:
         raise ValueError("insufficient horizon for the requested tail window")
-    arr = _bits_for(x, horizon)
-    windows = _packed_windows(arr[tail_start:], n)
-    values, counts = np.unique(windows, return_counts=True)
-    keep = values[counts >= min_count]
-    return {_unpack_word(int(v), n) for v in keep}
+    values, counts = _counts_at(_spectrum_for(x, n, horizon, tail_start), n)
+    return {_unpack_word(v, n) for v in values[counts >= min_count].tolist()}
 
 
 def factor_count_profile(x: WordLike, n_max: int, horizon: int) -> list[int]:
     """Distinct factor counts p(n) for n = 1..n_max; entry i is p(i+1).
 
-    One sort of the packed n_max-windows serves every shorter length as
-    a prefix count; the up-to n_max-1 windows that end past the last
-    full n_max-window are patched in exactly.
+    One window spectrum at n_max serves every shorter length.
     """
     if horizon < n_max:
         raise ValueError("horizon must be at least n_max")
-    arr = _bits_for(x, horizon)
-    full = np.sort(_packed_windows(arr, n_max))
-    out: list[int] = []
-    for n in range(1, n_max + 1):
-        sh = np.uint64(n_max - n)
-        pref = full >> sh
-        count = 0
-        if pref.size:
-            count = 1 + int(np.count_nonzero(pref[1:] != pref[:-1]))
-        # windows starting after the last full n_max-window
-        extras = set()
-        for start in range(full.shape[0], horizon - n + 1):
-            v = 0
-            for b in arr[start:start + n]:
-                v = (v << 1) | int(b)
-            extras.add(v)
-        for v in extras:
-            pos = int(np.searchsorted(pref, np.uint64(v)))
-            if pos >= pref.shape[0] or int(pref[pos]) != v:
-                count += 1
-        out.append(count)
-    return out
+    spec = _spectrum_for(x, n_max, horizon, 0)
+    return [_counts_at(spec, n)[0].size for n in range(1, n_max + 1)]
 
 
 # -- refinement atoms ------------------------------------------------------

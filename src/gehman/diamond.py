@@ -104,12 +104,15 @@ def omega_lower_check(
     tail_start: int | None = None,
     min_count: int = 5,
     source_horizon: int | None = None,
+    subject: SymbolStream | None = None,
 ) -> InclusionReport:
     """Check that every source factor recurs in the interleaved tail.
 
     Every length-n factor of ``a`` and of ``b`` (within source_horizon)
     must appear at least min_count times beyond tail_start in
-    diamond(a, b) over the horizon.
+    ``subject`` (default diamond(a, b)) over the horizon.  A caller that
+    holds the interleaving already passes it, so its symbols and factor
+    spectrum are reused.
     """
     if tail_start is None:
         tail_start = horizon // 100
@@ -124,8 +127,10 @@ def omega_lower_check(
     }
     if tail_start + n > horizon or source_horizon < n:
         return InclusionReport(status="insufficient horizon", params=params)
+    if subject is None:
+        subject = diamond(a, b)
     wanted = factors(a, n, source_horizon) | factors(b, n, source_horizon)
-    seen = recurrent_factors(diamond(a, b), n, horizon, tail_start, min_count)
+    seen = recurrent_factors(subject, n, horizon, tail_start, min_count)
     missing = sorted(wanted - seen)
     return InclusionReport(
         status="pass" if not missing else "fail",
@@ -147,9 +152,18 @@ def crossover_split(
     prefix of b, "crossover-ba" for the symmetric split, or None.
     """
     n = len(w)
-    a_tables = {m: factors(a, m, source_horizon) for m in range(1, n + 1)}
-    b_tables = {m: factors(b, m, source_horizon) for m in range(1, n + 1)}
-    return _classify_word(w, a_tables, b_tables, a.prefix(n), b.prefix(n))
+    return _classify_word(
+        w,
+        _factor_tables(a, n, source_horizon),
+        _factor_tables(b, n, source_horizon),
+        a.prefix(n),
+        b.prefix(n),
+    )
+
+
+def _factor_tables(x: SymbolStream, n: int, horizon: int) -> dict[int, set[str]]:
+    # longest first: every shorter length is read off the n-spectrum
+    return {m: factors(x, m, horizon) for m in range(n, 0, -1)}
 
 
 def _classify_word(
@@ -204,8 +218,8 @@ def omega_upper_check(
     if subject is None:
         subject = diamond(a, b)
     words = recurrent_factors(subject, n, horizon, tail_start, min_count)
-    a_tables = {m: factors(a, m, source_horizon) for m in range(1, n + 1)}
-    b_tables = {m: factors(b, m, source_horizon) for m in range(1, n + 1)}
+    a_tables = _factor_tables(a, n, source_horizon)
+    b_tables = _factor_tables(b, n, source_horizon)
     a_prefix = a.prefix(n)
     b_prefix = b.prefix(n)
     counts = {"a-side": 0, "b-side": 0, "crossover-ab": 0, "crossover-ba": 0}

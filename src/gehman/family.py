@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from gehman.coding import RotationCoding, SymbolStream, factors
-from gehman.diamond import DiamondStream, _classify_word, diamond
+from gehman.diamond import DiamondStream, _classify_word, _factor_tables, diamond
 from gehman.exactnum import QuadSurd
 
 MAX_CODE_LEN = 20
@@ -171,21 +171,6 @@ def language_of_X(
 
 CLOSURE_CASES = ("S-side", "Z-side", "crossover-ab", "crossover-ba", "none")
 
-_FACTOR_TABLES: dict[tuple, dict[int, set[str]]] = {}
-
-
-def _source_tables(
-    stream: SymbolStream, config: FamilyConfig, n: int, horizon: int
-) -> dict[int, set[str]]:
-    # Factor tables are shared across classify calls.  A family stream's
-    # label names only its code, so the config must be in the key too.
-    tables = _FACTOR_TABLES.setdefault((stream.label, config, horizon), {})
-    for m in range(1, n + 1):
-        if m not in tables:
-            tables[m] = factors(stream, m, horizon)
-    return tables
-
-
 def classify_closure_case(
     w: str,
     s: CodeLike,
@@ -206,8 +191,8 @@ def classify_closure_case(
     n = len(w)
     case = _classify_word(
         w,
-        _source_tables(a, config, n, horizon),
-        _source_tables(b, config, n, horizon),
+        _factor_tables(a, n, horizon),
+        _factor_tables(b, n, horizon),
         a.prefix(n),
         b.prefix(n),
     )

@@ -349,3 +349,25 @@ class TestPlumbing:
         a, b = run_cli(*args), run_cli(*args)
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
+
+    def test_in_process_calls_match_fresh_processes(self, capsys, monkeypatch):
+        # main builds its parser once per process; each later call must
+        # print and exit exactly as a fresh process does
+        from gehman.cli import main
+
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ["pair", "b:000", "b:111", "--horizon", "5000", "--resolution", "10"],
+            ["omega", "000", "111", "--horizon", "20000", "--factor-len", "5..8"],
+            ["gen", "x:000", "40"],
+            ["pair", "x:000", "a:000", "--horizon", "many"],
+            ["gen", "--help"],
+            ["gen", "x:000", "12"],
+        ]
+        for args in calls:
+            code = main(args)
+            got = capsys.readouterr()
+            fresh = run_cli(*args)
+            assert (code, got.out, got.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), args

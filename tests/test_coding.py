@@ -1,5 +1,6 @@
 """Rotation codings, word machinery, and refinement atoms."""
 
+import random
 from bisect import insort
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from gehman.chaoscan import certified_b_distality
+from gehman.chaoscan import certified_b_distality, omega_scrambled_check
 from gehman.coding import (
     AtomProfile,
     CutPointCollision,
@@ -31,7 +32,7 @@ from gehman.coding import (
     sturmian_stream,
 )
 from gehman.exactnum import QuadSurd, circle_distance, mod1
-from gehman.family import FamilyConfig
+from gehman.family import FamilyConfig, x_stream
 
 SQRT2_4 = QuadSurd(0, Fraction(1, 4), 2)
 SQRT3_8 = QuadSurd(0, Fraction(1, 8), 3)
@@ -181,6 +182,163 @@ class TestWordMachinery:
         profile = factor_count_profile(sturmian_A(SQRT2_4, 10_000), 12, 10_000)
         assert len(profile) == 12
         assert all(p <= 2 * n for n, p in enumerate(profile, start=1))
+
+
+def counted_words(word: str, n: int, start: int = 0, min_count: int = 1) -> set[str]:
+    """Length-n words of word[start:] seen at least min_count times."""
+    counts = Counter(word[i:i + n] for i in range(start, len(word) - n + 1))
+    return {w for w, c in counts.items() if c >= min_count}
+
+
+@pytest.fixture
+def pack_calls(monkeypatch):
+    """Lengths passed to _packed_windows while the test runs."""
+    calls = []
+
+    def counted(arr, n):
+        calls.append(n)
+        return _packed_windows(arr, n)
+
+    monkeypatch.setattr("gehman.coding._packed_windows", counted)
+    return calls
+
+
+class TestWindowSpectrum:
+    """Every factor length is read off one memoized spectrum per stream."""
+
+    @given(st.text(alphabet="01", min_size=1, max_size=400), st.data())
+    def test_against_counter(self, word, data):
+        horizon = len(word)
+        stream = WordStream(word)
+        lengths = data.draw(
+            st.lists(st.integers(1, min(horizon, 64)), min_size=1, max_size=6)
+        )
+        tail_start = data.draw(st.integers(0, horizon - 1))
+        min_count = data.draw(st.integers(2, 6))
+        for n in lengths:
+            want = counted_words(word, n)
+            assert factors(stream, n, horizon) == want
+            assert factors(word, n, horizon) == want
+            if tail_start + n <= horizon:
+                want = counted_words(word, n, tail_start, min_count)
+                got = recurrent_factors(stream, n, horizon, tail_start, min_count)
+                assert got == want
+
+    @given(st.text(alphabet="01", min_size=1, max_size=400), st.integers(1, 64))
+    def test_count_profile_against_counter(self, word, n_max):
+        n_max = min(n_max, len(word))
+        want = [len(counted_words(word, n)) for n in range(1, n_max + 1)]
+        assert factor_count_profile(word, n_max, len(word)) == want
+        # a word shorter than the horizon has no windows past its end
+        assert factor_count_profile(word, n_max, len(word) + 7) == want
+        assert factor_count_profile(WordStream(word), n_max, len(word)) == want
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_length_orders(self, order, pack_calls):
+        word = x_stream("0110").word(3000)
+        stream = WordStream(word)
+        lengths = list(range(1, 25))
+        if order == "descending":
+            lengths.reverse()
+        elif order == "shuffled":
+            random.Random(7).shuffle(lengths)
+        for n in lengths:
+            assert factors(stream, n, 3000) == counted_words(word, n)
+            got = recurrent_factors(stream, n, 3000, 30, 3)
+            assert got == counted_words(word, n, 30, 3)
+        # a spectrum is rebuilt only for a length longer than any before
+        records = [n for i, n in enumerate(lengths) if n > max(lengths[:i], default=0)]
+        assert pack_calls == [n for n in records for _ in range(2)]
+
+    def test_longest_length_needs_no_patch(self):
+        word = x_stream("0110").word(500)
+        stream = WordStream(word)
+        for n in (20, 20):
+            assert factors(stream, n, 500) == counted_words(word, n)
+
+    def test_words_only_in_the_patched_windows(self):
+        # every 1 lies past the last full 20-window, which starts at 85
+        word = "0" * 100 + "1" * 5
+        stream = WordStream(word)
+        assert recurrent_factors(stream, 20, 105, 0, 2) == {"0" * 20}
+        assert factors(stream, 1, 105) == {"0", "1"}
+        assert recurrent_factors(stream, 1, 105, 0, 5) == {"0", "1"}
+        assert recurrent_factors(stream, 1, 105, 0, 6) == {"0"}
+        assert recurrent_factors(stream, 4, 105, 0, 2) == {"0000", "1111"}
+        assert recurrent_factors(stream, 2, 105, 0, 4) == {"00", "11"}
+        assert recurrent_factors(stream, 2, 105, 0, 5) == {"00"}
+
+    def test_tail_start_leaves_one_window(self):
+        word = x_stream("1001").word(400)
+        stream = WordStream(word)
+        assert recurrent_factors(stream, 20, 400, 380, 2) == set()
+        for n in range(1, 21):
+            got = recurrent_factors(stream, n, 400, 380, 2)
+            assert got == counted_words(word, n, 380, 2)
+
+    def test_min_count_at_a_words_count(self):
+        word = x_stream("0110").word(2000)
+        counts = Counter(word[i:i + 9] for i in range(2000 - 9 + 1))
+        stream = WordStream(word)
+        factors(stream, 16, 2000)
+        for w, c in counts.items():
+            if c >= 2:
+                assert w in recurrent_factors(stream, 9, 2000, 0, c)
+                assert w not in recurrent_factors(stream, 9, 2000, 0, c + 1)
+
+    def test_length_64(self):
+        word = "".join(random.Random(3).choice("01") for _ in range(300))
+        stream = WordStream(word)
+        for n in (64, 63, 40, 1, 64):
+            assert factors(stream, n, 300) == counted_words(word, n)
+            want = counted_words(word, n, 0, 2)
+            assert recurrent_factors(stream, n, 300, 0, 2) == want
+        periodic = PeriodicStream("0110100110010110")
+        want = counted_words(periodic.word(1000), 64, 10, 5)
+        assert recurrent_factors(periodic, 64, 1000, 10) == want
+
+    def test_horizons_answer_separately(self):
+        word = x_stream("0110").word(4000)
+        stream = WordStream(word)
+        for horizon in (4000, 300, 4000, 300, 1000):
+            for n in (12, 5):
+                assert factors(stream, n, horizon) == counted_words(word[:horizon], n)
+
+    def test_error_messages(self):
+        stream = WordStream(x_stream("0110").word(200))
+        factors(stream, 20, 200)
+        recurrent_factors(stream, 20, 200, 0, 2)
+        cases = [
+            (lambda: factors(stream, 65, 200),
+             "factor length must be in 1..64 (bit-packed)"),
+            (lambda: factors(stream, 0, 200),
+             "factor length must be in 1..64 (bit-packed)"),
+            (lambda: recurrent_factors(stream, 0, 200, 0, 2),
+             "factor length must be in 1..64 (bit-packed)"),
+            (lambda: factors(stream, 30, 20),
+             "horizon must be at least the factor length"),
+            (lambda: recurrent_factors(stream, 5, 200, 0, 1),
+             "min_count must be >= 2"),
+            (lambda: recurrent_factors(stream, 5, 200, 196, 2),
+             "insufficient horizon for the requested tail window"),
+            (lambda: factor_count_profile(stream, 0, 200),
+             "factor length must be in 1..64 (bit-packed)"),
+            (lambda: factor_count_profile(stream, 30, 20),
+             "horizon must be at least n_max"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_omega_packs_each_stream_once(self, pack_calls):
+        # a horizon no other test uses, so every spectrum is built here
+        rep = omega_scrambled_check(
+            "0011", "1001", range(5, 21), horizon=200_003, z_horizon=9_001
+        )
+        assert [r.n for r in rep.rows] == list(range(5, 21))
+        # x_0011, x_1001, then b_0011, b_1001, each at n = 20
+        assert pack_calls == [20, 20, 20, 20]
 
 
 class TestAtoms:

@@ -22,9 +22,12 @@ checkout's path alone was seen to shift ``gen-fresh`` ``wall_s`` by
   parent's IQR, "worse" when the median rises by more than the bound,
   and "within bound" otherwise;
 
-then one traced run per side over all the workloads, and the wall time,
-exit code and stdout sha256 of the default CLI commands of the ROADMAP
-baseline table, run once per side.
+then one traced run per side over all the workloads, and the wall
+times (each run and their median), exit codes and stdout sha256 of the
+default CLI commands of the ROADMAP baseline table, each run
+``L5_RUNS`` times per side, alternating which side goes first.
+``l5_identical`` holds, per command, whether every run of both sides
+gave the same exit code and stdout.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 BOUNDS = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 RUN_SECONDS = SPEC["run_seconds"]
 PAIRS = 10
+L5_RUNS = 3
 L5_COMMANDS = [
     ["sturmian-check"],
     ["scan", "--include-limits"],
@@ -97,21 +101,36 @@ def _bench(side: Path, workloads: str, seed: int, trace: bool) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _l5(side: Path) -> list[dict]:
+def _cli(side: Path, args: list[str]) -> tuple[float, int, str]:
     env = dict(os.environ, PYTHONPATH=str(side / "src"))
-    out = []
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gehman.cli", *args],
+        cwd=side, env=env, capture_output=True,
+    )
+    wall = time.perf_counter() - start
+    return wall, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def _l5(sides: dict[str, Path], here: Path) -> dict[str, list[dict]]:
+    """Each default command L5_RUNS times per side, alternating the sides."""
+    out: dict[str, list[dict]] = {side: [] for side in sides}
     for args in L5_COMMANDS:
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "gehman.cli", *args],
-            cwd=side, env=env, capture_output=True,
-        )
-        out.append({
-            "command": "gehman " + " ".join(args),
-            "wall_s": time.perf_counter() - start,
-            "exit": proc.returncode,
-            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
-        })
+        runs: dict[str, list] = {side: [] for side in sides}
+        for i in range(L5_RUNS):
+            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                with _at(sides[side], here):
+                    runs[side].append(_cli(here, args))
+        for side, rs in runs.items():
+            walls, exits, digests = (list(col) for col in zip(*rs))
+            out[side].append({
+                "command": "gehman " + " ".join(args),
+                "wall_s": walls,
+                "median_s": float(np.median(walls)),
+                "exit": exits,
+                "stdout_sha256": digests,
+            })
     return out
 
 
@@ -194,15 +213,15 @@ def main(argv: list[str] | None = None) -> int:
                           file=sys.stderr)
                 runs.append(pair)
             record["workloads"][w] = {"runs": runs, "summary": _summary(runs)}
-        record["traced"], record["l5"] = {}, {}
+        record["traced"] = {}
         for side, path in sides.items():
             with _at(path, tmp / "run") as here:
                 record["traced"][side] = _bench(
                     here, ",".join(WORKLOADS), args.seed, True)
-                record["l5"][side] = _l5(here)
+        record["l5"] = _l5(sides, tmp / "run")
         record["l5_identical"] = [
-            {k: v for k, v in a.items() if k != "wall_s"}
-            == {k: v for k, v in b.items() if k != "wall_s"}
+            len({run for r in (a, b) for run in zip(r["exit"], r["stdout_sha256"])})
+            == 1
             for a, b in zip(record["l5"]["parent"], record["l5"]["change"])
         ]
     finally:
