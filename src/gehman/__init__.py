@@ -26,17 +26,20 @@ from gehman.coding import (
     RotationCoding,
     SymbolStream,
     WordStream,
-    atom_diameter,
     dist,
     factors,
-    itinerary,
     lcp,
     recurrent_factors,
     shift,
-    sturmian_A,
     sturmian_stream,
 )
-from gehman.diamond import DiamondStream, block_start, diamond, position_decode
+from gehman.diamond import (
+    DiamondStream,
+    block_start,
+    crossover_split,
+    diamond,
+    position_decode,
+)
 from gehman.family import (
     DEFAULT_CODES,
     AlphaCode,
@@ -44,9 +47,7 @@ from gehman.family import (
     a_stream,
     alpha_of,
     b_stream,
-    classify_closure_case,
     r_of,
-    x_point,
     x_stream,
 )
 from gehman.chaoscan import (
@@ -98,19 +99,17 @@ __all__ = [
     "a_stream",
     "alpha_of",
     "apply_f",
-    "atom_diameter",
     "b_stream",
     "block_start",
     "certified_b_distality",
     "circle_distance",
-    "classify_closure_case",
     "classify_pair",
+    "crossover_split",
     "diamond",
     "dist",
     "emit_graph",
     "factors",
     "family_model",
-    "itinerary",
     "lcp",
     "mod1",
     "no_isolated_points_check",
@@ -125,9 +124,7 @@ __all__ = [
     "scrambled_scan",
     "shift",
     "steps_to_root",
-    "sturmian_A",
     "sturmian_no_LY_check",
     "sturmian_stream",
-    "x_point",
     "x_stream",
 ]

@@ -16,6 +16,7 @@ import numpy as np
 
 from gehman.coding import (
     SymbolStream,
+    _bits_for,
     atom_profile,
     factors,
     lcp,
@@ -44,16 +45,6 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 BitsLike = Union[SymbolStream, np.ndarray]
 
 
-def _bits(x: BitsLike, n: int) -> np.ndarray:
-    if isinstance(x, SymbolStream):
-        return x.array(n)
-    if isinstance(x, np.ndarray):
-        if x.shape[0] < n:
-            raise ValueError(f"array input too short: {x.shape[0]} < {n}")
-        return x[:n]
-    raise TypeError(f"expected stream or array, got {type(x).__name__}")
-
-
 def _label(x: BitsLike, fallback: str) -> str:
     return x.label if isinstance(x, SymbolStream) else fallback
 
@@ -63,8 +54,10 @@ def lcp_series(x: BitsLike, y: BitsLike, N: int, cap: int) -> np.ndarray:
     if N < 0 or cap < 1:
         raise ValueError("need N >= 0 and cap >= 1")
     length = N + cap
-    ax = _bits(x, length)
-    ay = _bits(y, length)
+    ax = _bits_for(x, length)
+    ay = _bits_for(y, length)
+    if min(ax.shape[0], ay.shape[0]) < length:
+        raise ValueError(f"input too short: fewer than {length} symbols")
     # ends lists the mismatches, then length; repeating each over the
     # shifts up to it gives, in one pass, the first mismatch at or after
     # every shift n.
@@ -323,8 +316,6 @@ def scrambled_scan(
     """
     if not 2 <= len(points) <= 32:
         raise ValueError("scrambled_scan expects 2..32 points")
-    # family points wrap their stream; plain streams pass through
-    points = [getattr(p, "stream", p) for p in points]
     labels = []
     for i, p in enumerate(points):
         # repeated inputs are legal; disambiguate their labels

@@ -4,8 +4,8 @@ Streams are infinite binary words with a memoized prefix.  A rotation
 coding tracks the orbit of a start point under an irrational rotation
 and records which cell of {[0,1/4), [1/4,1)} each orbit point visits.
 Symbol indices are 1-based in every public contract (symbol i describes
-the orbit point after i-1 rotation steps); internal buffers are plain
-0-based byte arrays.
+the orbit point after i-1 rotation steps); internal buffers are 0-based
+uint8 arrays.
 
 Generation is exact: a fast floating screen classifies points safely in
 the interior of a cell, and every point that lands near a cell boundary
@@ -16,6 +16,7 @@ picking a side.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -48,30 +49,47 @@ class CutPointCollision(Exception):
 class SymbolStream:
     """Infinite binary word with a growable memoized prefix.
 
-    ``_spectra`` memoizes the factor machinery: for each (horizon,
-    tail_start) the window spectrum at the longest factor length asked
-    so far, from which every shorter length is derived.
+    Symbols live in one append-only uint8 store; ``_buf`` is the
+    read-only view of the symbols made so far, and subclasses generate
+    by handing chunks to :meth:`_append`.  ``_spectra`` memoizes the
+    factor machinery: for each (horizon, tail_start) the window spectrum
+    at the longest factor length asked so far.
     """
 
     def __init__(self, label: str = "stream"):
-        self._buf = bytearray()
+        self._store = np.empty(0, dtype=np.uint8)
+        self._buf = self._store[:0]
+        self._buf.flags.writeable = False
         self._spectra: dict[tuple[int, int], _Spectrum] = {}
         self.label = label
 
     def _extend_to(self, n: int) -> None:
         raise NotImplementedError
 
-    def prefix(self, n: int) -> bytes:
-        """First n symbols as raw bytes with values 0/1."""
+    def _append(self, chunk) -> None:
+        # Grows the store geometrically; a view handed out earlier keeps
+        # the old store, whose symbols never change.
+        size = len(self._buf)
+        end = size + len(chunk)
+        if end > self._store.shape[0]:
+            store = np.empty(max(end, 2 * size), dtype=np.uint8)
+            store[:size] = self._buf
+            self._store = store
+        self._store[size:end] = np.frombuffer(chunk, dtype=np.uint8)
+        self._buf = self._store[:end]
+        self._buf.flags.writeable = False
+
+    def array(self, n: int) -> np.ndarray:
+        """First n symbols as a read-only uint8 view, without a copy."""
         if n < 0:
             raise ValueError("prefix length must be nonnegative")
         if len(self._buf) < n:
             self._extend_to(n)
-        return bytes(self._buf[:n])
+        return self._buf[:n]
 
-    def array(self, n: int) -> np.ndarray:
-        """First n symbols as a read-only uint8 array."""
-        return np.frombuffer(self.prefix(n), dtype=np.uint8)
+    def prefix(self, n: int) -> bytes:
+        """First n symbols as raw bytes with values 0/1."""
+        return self.array(n).tobytes()
 
     def word(self, n: int) -> str:
         """First n symbols as a 0/1 text word."""
@@ -81,7 +99,7 @@ class SymbolStream:
         """Symbol at 1-based index i."""
         if i < 1:
             raise ValueError("symbol indices are 1-based")
-        return self.prefix(i)[i - 1]
+        return int(self.array(i)[i - 1])
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label}>"
@@ -166,22 +184,28 @@ class RotationCoding(SymbolStream):
             lo = len(self._buf)
             hi = min(max(n, lo + _CHUNK), lo + 4 * _CHUNK)
             if self._float_bound_ok(hi):
-                self._buf.extend(self._vector_chunk(lo, hi))
+                self._append(self._vector_chunk(lo, hi))
             else:
-                self._buf.extend(self._scalar_chunk(lo, hi))
+                self._append(self._scalar_chunk(lo, hi))
 
-    def _vector_chunk(self, lo: int, hi: int) -> bytes:
+    def _vector_chunk(self, lo: int, hi: int) -> np.ndarray:
         idx = np.arange(lo, hi, dtype=np.float64)
         sq = math.sqrt(self._d)
-        w = (self._u0 + idx * self._du + (self._v0 + idx * self._dv) * sq) / self._den
-        f = w - np.floor(w)
+        # (u0 + i*du + (v0 + i*dv)*sq)/den op by op in place: the same floats
+        f = idx * self._du + self._u0
+        idx *= self._dv
+        idx += self._v0
+        idx *= sq
+        f += idx
+        f /= self._den
+        f -= np.floor(f, out=idx)
         sym = (f >= 0.25).astype(np.uint8)
         risky = (f < _GUARD) | (np.abs(f - 0.25) < _GUARD) | (f > 1.0 - _GUARD)
         for j in np.flatnonzero(risky):
             sym[j] = self._exact_symbol(lo + int(j))
-        return sym.tobytes()
+        return sym
 
-    def _scalar_chunk(self, lo: int, hi: int) -> bytes:
+    def _scalar_chunk(self, lo: int, hi: int) -> bytearray:
         # Exact integer walk; used when coefficients are too large for
         # the float screen. Invariant: (u, v) is the orbit point at
         # 0-based index `steps`.
@@ -209,7 +233,7 @@ class RotationCoding(SymbolStream):
             if surd_sign_int(u - m, v, d) >= 0:
                 u -= m
         self._u, self._v, self._steps = u, v, hi
-        return bytes(out)
+        return out
 
 
 class PeriodicStream(SymbolStream):
@@ -224,7 +248,7 @@ class PeriodicStream(SymbolStream):
 
     def _extend_to(self, n: int) -> None:
         reps = -(-(n - len(self._buf)) // len(self._cell)) + 1
-        self._buf.extend(self._cell * reps)
+        self._append(self._cell * reps)
 
 
 class WordStream(SymbolStream):
@@ -244,7 +268,7 @@ class WordStream(SymbolStream):
             if any(v not in (0, 1) for v in data):
                 raise ValueError("word bytes must be 0/1 valued")
         super().__init__(label or "word")
-        self._buf.extend(data)
+        self._append(data)
         self.length = len(data)
 
     def _extend_to(self, n: int) -> None:
@@ -254,14 +278,15 @@ class WordStream(SymbolStream):
 
 
 class _ShiftedStream(SymbolStream):
+    # Owns no symbols: its buffer is a view of the base's from the offset on.
     def __init__(self, base: SymbolStream, n: int):
         self.base = base
         self.offset = n
         super().__init__(f"shift({base.label},{n})")
 
     def _extend_to(self, n: int) -> None:
-        data = self.base.prefix(self.offset + n)
-        self._buf[:] = data[self.offset:]
+        self.base.array(self.offset + n)
+        self._buf = self.base._buf[self.offset:]
 
 
 def shift(x: SymbolStream, n: int) -> SymbolStream:
@@ -278,13 +303,6 @@ def shift(x: SymbolStream, n: int) -> SymbolStream:
 # -- itineraries ---------------------------------------------------------
 
 
-def itinerary(rc: RotationCoding, n: int) -> str:
-    """First n symbols of a rotation coding as a 0/1 word."""
-    if n < 0:
-        raise ValueError("itinerary length must be nonnegative")
-    return rc.word(n)
-
-
 def sturmian_stream(alpha) -> RotationCoding:
     """The coding A(alpha): symbol i describes the i-th rotation of alpha.
 
@@ -297,25 +315,23 @@ def sturmian_stream(alpha) -> RotationCoding:
     return RotationCoding(rotate(alpha_q, alpha_q), alpha_q, label=f"A:{alpha_q}")
 
 
-def sturmian_A(alpha, n: int) -> str:
-    """First n symbols of A(alpha)."""
-    return sturmian_stream(alpha).word(n)
-
-
 # -- word utilities --------------------------------------------------------
 
-WordLike = Union[str, SymbolStream]
+WordLike = Union[str, SymbolStream, np.ndarray]
 
 
 def _bits_for(x: WordLike, n: int) -> np.ndarray:
+    """First n symbols of x as uint8; a finite word may give fewer."""
     if isinstance(x, SymbolStream):
         return x.array(n)
+    if isinstance(x, np.ndarray):
+        return x[:n]
     if isinstance(x, str):
         arr = np.frombuffer(x.encode("ascii"), dtype=np.uint8) - ord("0")
         if arr.size and arr.max() > 1:
             raise ValueError("words must contain only 0/1")
         return arr[:n]
-    raise TypeError(f"expected a stream or 0/1 word, got {type(x).__name__}")
+    raise TypeError(f"expected a stream, array or 0/1 word, got {type(x).__name__}")
 
 
 def lcp(x: WordLike, y: WordLike, cap: int) -> int:
@@ -370,10 +386,6 @@ def _packed_windows(arr: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
-def _pack_word(word: str) -> int:
-    return int(word, 2) if word else 0
-
-
 def _unpack_word(value: int, n: int) -> str:
     return format(value, f"0{n}b")
 
@@ -394,13 +406,16 @@ class _Spectrum(NamedTuple):
 def _spectrum_for(x: WordLike, n: int, horizon: int, tail_start: int) -> _Spectrum:
     """Window spectrum of symbols tail_start+1..horizon at length >= n.
 
-    A stream keeps one spectrum per (horizon, tail_start), at the
-    longest length asked so far; a longer request replaces it.
+    A stream keeps one spectrum per (horizon, tail_start); a longer
+    request rebuilds it at twice its length or more (at most 64 and the
+    range length), so lengths asked shortest first repack a few times.
     """
     memo = x._spectra if isinstance(x, SymbolStream) else {}
     spec = memo.get((horizon, tail_start))
     if spec is None or not 1 <= n <= spec.n_max:
         arr = _bits_for(x, horizon)[tail_start:]
+        if spec is not None and n > spec.n_max:
+            n = max(n, min(2 * spec.n_max, 64, arr.shape[0]))
         values, counts = np.unique(_packed_windows(arr, n), return_counts=True)
         tail = arr[max(arr.shape[0] - n + 1, 0):].copy()
         spec = memo[horizon, tail_start] = _Spectrum(n, values, counts, tail)
@@ -698,19 +713,9 @@ class AtomProfile:
                 raise ValueError(f"no depth below {max_depth} refines past {delta}")
 
 
-_PROFILES: dict[QuadSurd, AtomProfile] = {}
-
-
 def atom_profile(alpha) -> AtomProfile:
-    """Shared (memoized) atom profile for an angle."""
-    alpha_q = mod1(QuadSurd._coerce(alpha))
-    prof = _PROFILES.get(alpha_q)
-    if prof is None:
-        prof = AtomProfile(alpha_q)
-        _PROFILES[alpha_q] = prof
-    return prof
+    """Shared (memoized) atom profile for an angle, keyed on mod1(alpha)."""
+    return _shared_profile(mod1(QuadSurd._coerce(alpha)))
 
 
-def atom_diameter(alpha, k: int) -> QuadSurd:
-    """Maximal depth-k atom diameter for rotation by alpha; exact."""
-    return atom_profile(alpha).diameter(k)
+_shared_profile = functools.cache(AtomProfile)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import NamedTuple
 
+import numpy as np
+
 from gehman.coding import SymbolStream, factors, recurrent_factors
 
 
@@ -56,11 +58,13 @@ class DiamondStream(SymbolStream):
         super().__init__(label or f"diamond({a.label},{b.label})")
 
     def _extend_to(self, n: int) -> None:
-        while len(self._buf) < n:
-            k = self._next_block
-            self._buf.extend(self.first.prefix(k))
-            self._buf.extend(self.second.prefix(k))
-            self._next_block += 1
+        # blocks up to the one holding position n, in one append
+        last = position_decode(n).block
+        a = self.first.array(last)
+        b = self.second.array(last)
+        blocks = range(self._next_block, last + 1)
+        self._append(np.concatenate([p for k in blocks for p in (a[:k], b[:k])]))
+        self._next_block = last + 1
 
     def symbol(self, i: int) -> int:
         # O(1) index arithmetic plus one source lookup; the memoized
@@ -149,8 +153,11 @@ def crossover_split(
 
     Returns "a-side" / "b-side" when w is a factor of the respective
     source, "crossover-ab" when w = u v with u a factor of a and v a
-    prefix of b, "crossover-ba" for the symmetric split, or None.
+    prefix of b, "crossover-ba" for the symmetric split, or None when
+    nothing matches within source_horizon.
     """
+    if not w or any(c not in "01" for c in w):
+        raise ValueError("w must be a nonempty 0/1 word")
     n = len(w)
     return _classify_word(
         w,

@@ -10,7 +10,9 @@ Streams built here:
 * ``a_stream(s)``: orbit of 1/8 under alpha_s, coded from step 1 (the
   same convention as A(alpha), so the stream projects back to 1/8).
 * ``b_stream(s)``: orbit of r_s under beta, coded from step 0.
-* ``x_point(s)``: the interleaving a_stream(s) diamond b_stream(s).
+* ``x_stream(s)``: the interleaving a_stream(s) diamond b_stream(s).
+
+Each stream is built once per (kind, code, config) and shared.
 
 Codes of equal length map to pairwise distinct angles and base points.
 A code extended by trailing zeros denotes the same angle; the limit
@@ -19,12 +21,13 @@ constructions use exactly this aliasing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 from gehman.coding import RotationCoding, SymbolStream, factors
-from gehman.diamond import DiamondStream, _classify_word, _factor_tables, diamond
+from gehman.diamond import DiamondStream
 from gehman.exactnum import QuadSurd
 
 MAX_CODE_LEN = 20
@@ -94,59 +97,35 @@ def r_of(s: CodeLike, config: FamilyConfig = DEFAULT_CONFIG) -> Fraction:
     )
 
 
-_STREAMS: dict[tuple, SymbolStream] = {}
-
-
 def a_stream(s: CodeLike, config: FamilyConfig = DEFAULT_CONFIG) -> RotationCoding:
     """Coding of the orbit of 1/8 under alpha_s, symbols from step 1.
 
     Rational start, irrational angle: no orbit point can hit a rational
     cut exactly, so cut-point collisions cannot fire.
     """
-    code = _code(s)
-    key = ("a", code.s, config)
-    st = _STREAMS.get(key)
-    if st is None:
-        alpha = alpha_of(code, config)
-        st = RotationCoding(Fraction(1, 8) + alpha, alpha, label=f"a:{code}")
-        _STREAMS[key] = st
-    return st
+    return _family_stream("a", _code(s).s, config)
 
 
 def b_stream(s: CodeLike, config: FamilyConfig = DEFAULT_CONFIG) -> RotationCoding:
     """Coding of the orbit of r_s under beta, symbols from step 0."""
-    code = _code(s)
-    key = ("b", code.s, config)
-    st = _STREAMS.get(key)
-    if st is None:
-        st = RotationCoding(r_of(code, config), config.beta, label=f"b:{code}")
-        _STREAMS[key] = st
-    return st
-
-
-@dataclass(frozen=True)
-class XPoint:
-    """A family point: the interleaving of the two codings for one code."""
-
-    code: AlphaCode
-    stream: DiamondStream
+    return _family_stream("b", _code(s).s, config)
 
 
 def x_stream(s: CodeLike, config: FamilyConfig = DEFAULT_CONFIG) -> DiamondStream:
-    code = _code(s)
-    key = ("x", code.s, config)
-    st = _STREAMS.get(key)
-    if st is None:
-        st = DiamondStream(
-            a_stream(code, config), b_stream(code, config), label=f"x:{code}"
-        )
-        _STREAMS[key] = st
-    return st
+    """The interleaving a_stream(s) diamond b_stream(s)."""
+    return _family_stream("x", _code(s).s, config)
 
 
-def x_point(s: CodeLike, config: FamilyConfig = DEFAULT_CONFIG) -> XPoint:
-    code = _code(s)
-    return XPoint(code, x_stream(code, config))
+@functools.cache
+def _family_stream(kind: str, code: str, config: FamilyConfig) -> SymbolStream:
+    # one stream per (kind, code, config): repeated scans share buffers
+    if kind == "x":
+        a, b = a_stream(code, config), b_stream(code, config)
+        return DiamondStream(a, b, label=f"x:{code}")
+    if kind == "a":
+        alpha = alpha_of(code, config)
+        return RotationCoding(Fraction(1, 8) + alpha, alpha, label=f"a:{code}")
+    return RotationCoding(r_of(code, config), config.beta, label=f"b:{code}")
 
 
 def language_of_X(
@@ -167,37 +146,3 @@ def language_of_X(
     for code in code_list:
         out |= factors(x_stream(code, config), n, horizon)
     return out
-
-
-CLOSURE_CASES = ("S-side", "Z-side", "crossover-ab", "crossover-ba", "none")
-
-def classify_closure_case(
-    w: str,
-    s: CodeLike,
-    horizon: int = 10_000,
-    config: FamilyConfig = DEFAULT_CONFIG,
-) -> str:
-    """Which of the four closure cases explains w for the code s.
-
-    "S-side": factor of a_stream(s); "Z-side": factor of b_stream(s);
-    "crossover-ab": an a-factor followed by a prefix of b; the symmetric
-    "crossover-ba"; or "none" when nothing matches within the horizon.
-    """
-    if not w or any(c not in "01" for c in w):
-        raise ValueError("w must be a nonempty 0/1 word")
-    code = _code(s)
-    a = a_stream(code, config)
-    b = b_stream(code, config)
-    n = len(w)
-    case = _classify_word(
-        w,
-        _factor_tables(a, n, horizon),
-        _factor_tables(b, n, horizon),
-        a.prefix(n),
-        b.prefix(n),
-    )
-    if case == "a-side":
-        return "S-side"
-    if case == "b-side":
-        return "Z-side"
-    return case if case is not None else "none"

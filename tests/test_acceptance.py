@@ -37,7 +37,7 @@ from gehman.coding import (
     factor_count_profile,
     lcp,
     shift,
-    sturmian_A,
+    sturmian_stream,
 )
 from gehman.dendrite import (
     ROOT,
@@ -78,7 +78,7 @@ def report(tag: str, ok: bool, detail: str) -> None:
 def test_c01_exactness_against_interval_oracle():
     mismatches = []
     for code in DEFAULT_CODES:
-        if sturmian_A(alpha_of(code), ORACLE_HORIZON) != oracle.oracle_A_word(
+        if sturmian_stream(alpha_of(code)).word(ORACLE_HORIZON) != oracle.oracle_A_word(
             code, ORACLE_HORIZON
         ):
             mismatches.append(("A", code))

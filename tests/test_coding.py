@@ -19,20 +19,19 @@ from gehman.coding import (
     PeriodicStream,
     RotationCoding,
     WordStream,
-    atom_diameter,
     atom_profile,
     dist,
     factor_count_profile,
     factors,
-    itinerary,
     lcp,
     recurrent_factors,
     shift,
-    sturmian_A,
     sturmian_stream,
 )
 from gehman.exactnum import QuadSurd, circle_distance, mod1
-from gehman.family import FamilyConfig, x_stream
+from gehman.dendrite import family_model, no_isolated_points_check
+from gehman.diamond import diamond
+from gehman.family import FamilyConfig, a_stream, b_stream, x_stream
 
 SQRT2_4 = QuadSurd(0, Fraction(1, 4), 2)
 SQRT3_8 = QuadSurd(0, Fraction(1, 8), 3)
@@ -40,10 +39,10 @@ SQRT3_8 = QuadSurd(0, Fraction(1, 8), 3)
 
 class TestRotationCoding:
     def test_sturmian_frozen_prefix(self):
-        assert sturmian_A(SQRT2_4, 5) == "10110"
+        assert sturmian_stream(SQRT2_4).word(5) == "10110"
 
     def test_against_interval_oracle(self):
-        got = sturmian_A(SQRT2_4, 400)
+        got = sturmian_stream(SQRT2_4).word(400)
         want = oracle.oracle_sturmian_A(Fraction(0), Fraction(1, 4), 2, 400)
         assert got == want
 
@@ -52,7 +51,7 @@ class TestRotationCoding:
         want = oracle.oracle_orbit_word(
             Fraction(1, 3), Fraction(0), Fraction(0), Fraction(1, 8), 3, 300
         )
-        assert itinerary(rc, 300) == want
+        assert rc.word(300) == want
 
     def test_shift_rotation_equivariance(self):
         # dropping n symbols equals starting n steps later
@@ -104,6 +103,58 @@ class TestStreams:
         assert s.word(5) == p.word(8)[3:]
         assert s.label == "shift(per:0110,3)"
         assert shift(p, 0) is p
+
+
+class TestBufferCore:
+    """One append-only store per stream; array(n) is a view of it."""
+
+    def test_array_is_read_only(self):
+        x = x_stream("0110")
+        arr = x.array(500)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+    @pytest.mark.parametrize("n", [1, 700, 50_000])
+    def test_array_is_a_view_without_copy(self, n):
+        x = x_stream("0110")
+        longer = x.array(2 * n)
+        assert np.shares_memory(x.array(n), longer)
+
+    def test_view_survives_tenfold_growth(self):
+        fresh = [
+            RotationCoding(Fraction(1, 3), SQRT3_8),
+            diamond(RotationCoding(Fraction(1, 3), SQRT3_8), sturmian_stream(SQRT2_4)),
+            PeriodicStream("011"),
+        ]
+        for x in fresh:
+            view = x.array(40_000)
+            before = view.tobytes()
+            x.array(400_000)
+            assert view.tobytes() == before == x.prefix(40_000)
+            assert len(x._buf) >= 400_000
+
+    def test_shift_shares_the_base_store(self):
+        x = x_stream("1001")
+        base = x.array(5000)
+        for p in (1, 37, 4000):
+            view = shift(x, p).array(1000)
+            assert np.shares_memory(view, base)
+            assert view.tobytes() == base[p:p + 1000].tobytes()
+
+    def test_word_stream_reads_past_end_raise(self):
+        w = WordStream("0101")
+        assert w.array(4).tolist() == [0, 1, 0, 1]
+        for read in (lambda: w.array(5), lambda: w.prefix(5), lambda: w.symbol(5)):
+            with pytest.raises(ValueError, match="has only 4 symbols"):
+                read()
+
+    def test_diamond_symbol_matches_buffer_across_block_edges(self):
+        # a fresh interleaving grows block by block as the loop reads on
+        d = diamond(a_stream("0110"), b_stream("0110"))
+        for i in range(1, 131):
+            assert d.symbol(i) == d.array(i)[i - 1]
+        assert d.word(130) == x_stream("0110").word(130)
 
 
 class TestWordMachinery:
@@ -179,7 +230,8 @@ class TestWordMachinery:
         assert recurrent_factors(PeriodicStream("01"), 2, 1000) == {"01", "10"}
 
     def test_count_profile_bound(self):
-        profile = factor_count_profile(sturmian_A(SQRT2_4, 10_000), 12, 10_000)
+        word = sturmian_stream(SQRT2_4).word(10_000)
+        profile = factor_count_profile(word, 12, 10_000)
         assert len(profile) == 12
         assert all(p <= 2 * n for n, p in enumerate(profile, start=1))
 
@@ -246,9 +298,14 @@ class TestWindowSpectrum:
             assert factors(stream, n, 3000) == counted_words(word, n)
             got = recurrent_factors(stream, n, 3000, 30, 3)
             assert got == counted_words(word, n, 30, 3)
-        # a spectrum is rebuilt only for a length longer than any before
-        records = [n for i, n in enumerate(lengths) if n > max(lengths[:i], default=0)]
-        assert pack_calls == [n for n in records for _ in range(2)]
+        # a spectrum is rebuilt only for a length longer than the one it
+        # holds, and then at twice that length (at most 64)
+        builds, held = [], 0
+        for n in lengths:
+            if n > held:
+                held = max(n, min(2 * held, 64))
+                builds.append(held)
+        assert pack_calls == [n for n in builds for _ in range(2)]
 
     def test_longest_length_needs_no_patch(self):
         word = x_stream("0110").word(500)
@@ -340,10 +397,23 @@ class TestWindowSpectrum:
         # x_0011, x_1001, then b_0011, b_1001, each at n = 20
         assert pack_calls == [20, 20, 20, 20]
 
+    def test_dendrite_check_lengths_shortest_first(self, pack_calls):
+        # The oracle asks lengths 1..15 in order; each x-stream repacks
+        # only at 1, 2, 4, 8 and 16.  A horizon no other test uses.
+        model = family_model(["0101", "1110"], horizon=7_003)
+        rep = no_isolated_points_check(model, 5, 10)
+        assert rep.accepted_count > 0
+        assert pack_calls == [n for n in (1, 2, 4, 8, 16) for _ in range(2)]
+
 
 class TestAtoms:
+    def test_profiles_shared_per_angle_mod_one(self):
+        assert atom_profile(SQRT3_8) is atom_profile(SQRT3_8 + 1)
+        assert atom_profile(SQRT3_8) is atom_profile(mod1(SQRT3_8 - 3))
+        assert atom_profile(SQRT3_8) is not atom_profile(SQRT2_4)
+
     def test_depth_one_gap(self):
-        assert atom_diameter(SQRT3_8, 1) == QuadSurd(Fraction(3, 4))
+        assert atom_profile(SQRT3_8).diameter(1) == QuadSurd(Fraction(3, 4))
 
     def test_gap_nonincreasing(self):
         prof = atom_profile(SQRT3_8)
@@ -351,7 +421,7 @@ class TestAtoms:
         assert all(b <= a for a, b in zip(diams, diams[1:]))
 
     def test_depth_32_below_ninth(self):
-        assert atom_diameter(SQRT3_8, 32) < QuadSurd(Fraction(1, 9))
+        assert atom_profile(SQRT3_8).diameter(32) < QuadSurd(Fraction(1, 9))
 
     def test_word_region_exceeds_gap(self):
         # at sqrt(2)/4 three separate depth-3 arcs share the word 111,

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import oracle
 from gehman.coding import atom_profile, factors, lcp, shift
 from gehman.exactnum import QuadSurd, circle_distance
+from gehman.diamond import crossover_split
 from gehman.family import (
-    CLOSURE_CASES,
     DEFAULT_CODES,
     DEFAULT_CONFIG,
     MAX_CODE_LEN,
@@ -19,10 +19,8 @@ from gehman.family import (
     a_stream,
     alpha_of,
     b_stream,
-    classify_closure_case,
     language_of_X,
     r_of,
-    x_point,
     x_stream,
 )
 
@@ -113,10 +111,19 @@ class TestStreams:
         assert a_stream("011") is a_stream("011")
         assert x_stream("011") is x_stream("011")
 
-    def test_x_point_wraps_stream(self):
-        p = x_point("011")
-        assert str(p.code) == "011"
-        assert p.stream is x_stream("011")
+    def test_memo_key_is_kind_code_and_config(self):
+        assert a_stream("000") is a_stream(AlphaCode("000"))
+        assert a_stream("000") is a_stream("000", DEFAULT_CONFIG)
+        assert a_stream("000") is a_stream("000", FamilyConfig())
+        other = FamilyConfig(alpha_base=QuadSurd(0, Fraction(1, 5), 2))
+        assert a_stream("000", other) is not a_stream("000")
+        assert a_stream("000", other).word(40) != a_stream("000").word(40)
+        assert b_stream("000") is not a_stream("000")
+
+    def test_x_stream_interleaves_the_shared_sources(self):
+        for code in ("011", AlphaCode("101")):
+            assert x_stream(code).first is a_stream(code)
+            assert x_stream(code).second is b_stream(code)
 
     @pytest.mark.parametrize("code", ["000", "101", "110"])
     def test_a_stream_against_oracle(self, code):
@@ -159,26 +166,21 @@ class TestLanguage:
         assert language_of_X(codes, 5, 3000) == want
 
 
-class TestClosureClassifier:
-    def test_case_tuple(self):
-        assert CLOSURE_CASES == (
-            "S-side",
-            "Z-side",
-            "crossover-ab",
-            "crossover-ba",
-            "none",
-        )
+def closure_case(w, code, horizon=10_000, config=DEFAULT_CONFIG):
+    return crossover_split(w, a_stream(code, config), b_stream(code, config), horizon)
 
+
+class TestClosureClassifier:
     def test_a_factor_is_s_side(self):
         w = a_stream("000").word(12)
         assert w == "111100111100"
-        assert classify_closure_case(w, "000") == "S-side"
+        assert closure_case(w, "000") == "a-side"
 
     def test_b_factor_is_z_side(self):
         w = b_stream("000").word(12)
         assert w == "011110111011"
         assert w not in factors(a_stream("000"), 12, 10_000)
-        assert classify_closure_case(w, "000") == "Z-side"
+        assert closure_case(w, "000") == "b-side"
 
     def test_block_boundary_crossovers(self):
         # Block 100 of x_000 occupies positions 9901..10100, switching
@@ -186,16 +188,16 @@ class TestClosureClassifier:
         x = x_stream("000")
         w_ab = shift(x, 9990).word(18)
         assert w_ab == "011110111101111011"
-        assert classify_closure_case(w_ab, "000") == "crossover-ab"
+        assert closure_case(w_ab, "000") == "crossover-ab"
         w_ba = shift(x, 10094).word(10)
         assert w_ba == "1110111111"
-        assert classify_closure_case(w_ba, "000") == "crossover-ba"
+        assert closure_case(w_ba, "000") == "crossover-ba"
 
     @pytest.mark.parametrize(
         "w", ["10101010101010101010", "1" * 20, "0" * 20]
     )
     def test_negative_controls(self, w):
-        assert classify_closure_case(w, "000") == "none"
+        assert closure_case(w, "000") is None
 
     def test_factor_tables_keyed_on_config(self):
         # The same code under another config has other factor tables; a
@@ -206,27 +208,26 @@ class TestClosureClassifier:
             beta=QuadSurd(0, Fraction(1, 7), 3),
         )
         w = a_stream("000", cfg).word(5000)[1234:1246]
-        assert classify_closure_case(w, "000") == "crossover-ba"
-        assert classify_closure_case(w, "000", config=cfg) == "S-side"
-        assert classify_closure_case(w, "000") == "crossover-ba"
+        assert closure_case(w, "000") == "crossover-ba"
+        assert closure_case(w, "000", config=cfg) == "a-side"
+        assert closure_case(w, "000") == "crossover-ba"
 
     def test_rejects_bad_word(self):
-        with pytest.raises(ValueError):
-            classify_closure_case("", "000")
-        with pytest.raises(ValueError):
-            classify_closure_case("012", "000")
+        for w in ("", "012"):
+            with pytest.raises(ValueError, match="w must be a nonempty 0/1 word"):
+                closure_case(w, "000")
 
     def test_recurrent_words_all_classified(self):
         # Quick version of the tail scan: recurrent words live past the
         # startup blocks, span at most one source seam, and must never
-        # fall through to "none".
+        # fall through to None.
         from gehman.coding import recurrent_factors
 
         for code in ("000", "110"):
             words = recurrent_factors(x_stream(code), 8, 60_000, 2_000, 5)
             assert words
             for w in sorted(words):
-                assert classify_closure_case(w, code, horizon=10_000) != "none"
+                assert closure_case(w, code, horizon=10_000) is not None
 
     def test_startup_words_can_span_multiple_seams(self):
         # Position 30 of x_000 reads b5 a1..a6 b1: three source segments,
@@ -234,4 +235,4 @@ class TestClosureClassifier:
         # words are promised a classification.
         w = shift(x_stream("000"), 29).word(8)
         assert w == "11111000"
-        assert classify_closure_case(w, "000", horizon=100_000) == "none"
+        assert closure_case(w, "000", horizon=100_000) is None
