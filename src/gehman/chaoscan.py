@@ -452,6 +452,8 @@ def sturmian_no_LY_check(
     so one certificate per shift difference covers all 0 <= i < j <=
     max_shift.
     """
+    if max_shift < 1:
+        raise ValueError("max_shift must be >= 1")
     a = sturmian_stream(alpha)
     profile = atom_profile(a.alpha)
     certs: dict[int, DistalityCertificate] = {}

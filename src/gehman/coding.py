@@ -7,10 +7,11 @@ Symbol indices are 1-based in every public contract (symbol i describes
 the orbit point after i-1 rotation steps); internal buffers are 0-based
 uint8 arrays.
 
-Generation is exact: a fast floating screen classifies points safely in
-the interior of a cell, and every point that lands near a cell boundary
-is re-checked with integer arithmetic.  An orbit point that hits 0 or
-1/4 exactly raises :class:`CutPointCollision` instead of silently
+Generation is exact: a float screen with a certified error bound
+classifies the points safely inside a cell, and every point within that
+bound of 0, 1/4 or 1 is decided by an exact integer walk, as is every
+chunk whose integers leave the float range.  An orbit point that hits 0
+or 1/4 exactly raises :class:`CutPointCollision` instead of silently
 picking a side.
 """
 
@@ -24,12 +25,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from gehman.exactnum import QuadSurd, mod1, rotate, surd_sign_int
-
-# Float screen half-width, as a fraction of the circle. Any point whose
-# float image lies this close to a cell boundary is re-decided exactly;
-# float error is ~1e-15 so no misclassification can slip through.
-_GUARD = 1e-7
+from gehman.exactnum import QuadSurd, mod1, rotate, surd_floor, surd_sign_int
 
 _CHUNK = 1 << 15
 
@@ -138,88 +134,55 @@ class RotationCoding(SymbolStream):
         self._v0 = int(start_q.b * m)
         self._du = int(alpha_q.a * m)
         self._dv = int(alpha_q.b * m)
-        # Reduced integer state for the scalar path: (u + v*sqrt(d))/m.
-        self._u = self._u0
-        self._v = self._v0
-        self._steps = 0
         super().__init__(label or f"pt:{start_q}@{alpha_q}")
 
-    # -- exact point access ---------------------------------------------
-
-    def orbit_point(self, i: int) -> QuadSurd:
-        """Exact circle point producing symbol i (1-based)."""
-        if i < 1:
-            raise ValueError("symbol indices are 1-based")
-        k = i - 1
-        return mod1(
-            QuadSurd(
-                self.start.a + k * self.alpha.a,
-                self.start.b + k * self.alpha.b,
-                self._d,
-            )
-        )
-
-    def _exact_symbol(self, idx0: int) -> int:
-        # idx0 is 0-based; collision raised with the 1-based index.
-        p = self.orbit_point(idx0 + 1)
-        if p.sign() == 0:
-            raise CutPointCollision(idx0 + 1, str(p))
-        q = (p - Fraction(1, 4)).sign()
-        if q == 0:
-            raise CutPointCollision(idx0 + 1, str(p))
-        return 0 if q < 0 else 1
-
     # -- generation -------------------------------------------------------
-
-    def _float_bound_ok(self, n: int) -> bool:
-        # The vector screen computes u0 + i*du + (v0 + i*dv)*sqrt(d) in
-        # float64; demand the magnitude stays well under 2^52 so the
-        # integer parts are represented exactly.
-        mag = abs(self._u0) + abs(self._v0) * 2
-        mag += n * (abs(self._du) + abs(self._dv) * 2)
-        return mag < 2**52
 
     def _extend_to(self, n: int) -> None:
         while len(self._buf) < n:
             lo = len(self._buf)
             hi = min(max(n, lo + _CHUNK), lo + 4 * _CHUNK)
-            if self._float_bound_ok(hi):
-                self._append(self._vector_chunk(lo, hi))
-            else:
-                self._append(self._scalar_chunk(lo, hi))
+            self._append(self._chunk(lo, hi))
 
-    def _vector_chunk(self, lo: int, hi: int) -> np.ndarray:
+    def _chunk(self, lo: int, hi: int) -> np.ndarray | bytearray:
+        # The float screen evaluates (u0 + i*du + (v0 + i*dv)*sqrt(d))/den.
+        # mag bounds |u| + |v|*(isqrt(d)+1) and every integer term for
+        # i < hi.  While mag and den stay below 2^52 those terms are exact,
+        # and the error is at most four roundings (sqrt(d), the product,
+        # the sum, the division) of mag/den, so eps is 8 times that bound.
+        # A point whose float image lies within eps of 0, 1/4 or 1 is
+        # decided exactly; past the float range the whole chunk is.
+        d, den = self._d, self._den
+        mag = abs(self._u0) + hi * abs(self._du)
+        mag += (abs(self._v0) + hi * abs(self._dv)) * (math.isqrt(d) + 1)
+        if mag >= min(2**52, den << 44) or den >= 2**52:
+            return self._exact(lo, hi)
+        eps = 2.0**-48 * mag / den
         idx = np.arange(lo, hi, dtype=np.float64)
-        sq = math.sqrt(self._d)
-        # (u0 + i*du + (v0 + i*dv)*sq)/den op by op in place: the same floats
+        # op by op in place, which keeps the chunk's temporaries to two
         f = idx * self._du + self._u0
         idx *= self._dv
         idx += self._v0
-        idx *= sq
+        idx *= math.sqrt(d)
         f += idx
-        f /= self._den
+        f /= den
         f -= np.floor(f, out=idx)
         sym = (f >= 0.25).astype(np.uint8)
-        risky = (f < _GUARD) | (np.abs(f - 0.25) < _GUARD) | (f > 1.0 - _GUARD)
-        for j in np.flatnonzero(risky):
-            sym[j] = self._exact_symbol(lo + int(j))
+        risky = (f < eps) | (np.abs(f - 0.25) < eps) | (f > 1.0 - eps)
+        for j in np.flatnonzero(risky).tolist():
+            sym[j] = self._exact(lo + j, lo + j + 1)[0]
         return sym
 
-    def _scalar_chunk(self, lo: int, hi: int) -> bytearray:
-        # Exact integer walk; used when coefficients are too large for
-        # the float screen. Invariant: (u, v) is the orbit point at
-        # 0-based index `steps`.
-        if self._steps > lo:
-            self._u, self._v, self._steps = self._u0, self._v0, 0
-        u, v, m, d = self._u, self._v, self._den, self._d
-        du, dv = self._du, self._dv
-        steps = self._steps
-        while steps < lo:
-            u += du
-            v += dv
-            if surd_sign_int(u - m, v, d) >= 0:
-                u -= m
-            steps += 1
+    def _exact(self, lo: int, hi: int) -> bytearray:
+        """Symbols lo+1..hi by an exact integer walk.
+
+        The point at 0-based index lo is (u + v*sqrt(d))/den, reduced
+        once by :func:`surd_floor`; each step adds the angle and
+        subtracts 1 when the point passes it.
+        """
+        m, d, du, dv = self._den, self._d, self._du, self._dv
+        u, v = self._u0 + lo * du, self._v0 + lo * dv
+        u -= m * surd_floor(u, v, d, m)
         out = bytearray()
         for i in range(lo, hi):
             if u == 0 and v == 0:
@@ -232,7 +195,6 @@ class RotationCoding(SymbolStream):
             v += dv
             if surd_sign_int(u - m, v, d) >= 0:
                 u -= m
-        self._u, self._v, self._steps = u, v, hi
         return out
 
 
@@ -551,11 +513,7 @@ class AtomProfile:
     # -- integer coordinates ----------------------------------------------
 
     def _mod1(self, u: int, v: int) -> tuple[int, int]:
-        # floor((u + v*sqrt(d))/M) = (u + floor(v*sqrt(d))) // M, and
-        # v*sqrt(d) is never an integer unless v == 0
-        root = math.isqrt(v * v * self._d)
-        fl = root if v >= 0 else -root - 1
-        return u - self._m * ((u + fl) // self._m), v
+        return u - self._m * surd_floor(u, v, self._d, self._m), v
 
     def _less(self, x: tuple[int, int], y: tuple[int, int]) -> bool:
         return surd_sign_int(x[0] - y[0], x[1] - y[1], self._d) < 0

@@ -3,14 +3,14 @@
 A value is ``a + b*sqrt(d)`` with ``a``, ``b`` rational and ``d`` a
 square-free integer; purely rational values are normalized to ``d == 1``
 with ``b == 0``.  Every predicate that drives a symbolic decision (sign,
-comparison, floor, cell membership) is computed with integer arithmetic
-only.  There are no floating-point fast paths in this module; callers
+comparison, floor) is computed with integer arithmetic only.  There are no floating-point fast paths in this module; callers
 that want a float for display use :meth:`QuadSurd.to_float` and accept
 its rounding.
 
-All circle helpers (:func:`mod1`, :func:`rotate`, :func:`in_left_cell`,
+All circle helpers (:func:`mod1`, :func:`rotate`,
 :func:`circle_distance`) treat a "circle point" as a QuadSurd reduced
-into [0, 1).
+into [0, 1).  :func:`surd_floor` is the one floor of a surd; every
+reduction mod 1 goes through it.
 
 Values from two genuinely different irrational fields are never
 comparable; such a request raises :class:`MixedFieldError`.  Rationals
@@ -49,6 +49,18 @@ def surd_sign_int(u: int, v: int, d: int) -> int:
     if u > 0:
         return 1 if lhs > rhs else -1
     return -1 if lhs > rhs else 1
+
+
+def surd_floor(u: int, v: int, d: int, m: int) -> int:
+    """floor((u + v*sqrt(d))/m) for integers u, v, d >= 1 and m >= 1.
+
+    floor((u + x)/m) = (u + floor(x)) // m for integers u and m, and
+    floor(v*sqrt(d)) is isqrt(v*v*d) rounded toward minus infinity.
+    """
+    root = isqrt(v * v * d)
+    if v < 0:
+        root = -root - (root * root != v * v * d)
+    return (u + root) // m
 
 
 def _sign(a: Fraction, b: Fraction, d: int) -> int:
@@ -237,19 +249,13 @@ class QuadSurd:
     # -- floor and display ----------------------------------------------
 
     def __floor__(self) -> int:
-        if self.b == 0:
-            return math.floor(self.a)
-        # isqrt gives sqrt(b^2*d) within 1, so the candidate floor is off
-        # by a bounded amount; exact sign tests finish the job.
-        r, s = self.b.numerator, self.b.denominator
-        root = isqrt(r * r * self.d)
-        approx = Fraction(root if r > 0 else -(root + 1), s)
-        m = math.floor(self.a + approx)
-        while _sign(self.a - (m + 1), self.b, self.d) >= 0:
-            m += 1
-        while _sign(self.a - m, self.b, self.d) < 0:
-            m -= 1
-        return m
+        a, b = self.a, self.b
+        return surd_floor(
+            a.numerator * b.denominator,
+            b.numerator * a.denominator,
+            self.d,
+            a.denominator * b.denominator,
+        )
 
     def to_float(self) -> float:
         """Float approximation. Display only, never used in decisions."""
@@ -269,19 +275,6 @@ class QuadSurd:
         return f"QuadSurd({self})"
 
 
-def quad_compare(x, y) -> int:
-    """Sign of x - y in {-1, 0, +1}; exact.
-
-    Raises MixedFieldError when both arguments carry irrational parts
-    from different fields.
-    """
-    xq = QuadSurd._coerce(x)
-    yq = QuadSurd._coerce(y)
-    if xq is None or yq is None:
-        raise TypeError("quad_compare expects QuadSurd or rational inputs")
-    return (xq - yq).sign()
-
-
 def mod1(x) -> QuadSurd:
     """Reduce x into [0, 1): x minus its exact floor."""
     xq = QuadSurd._coerce(x)
@@ -296,14 +289,6 @@ def rotate(p, alpha) -> QuadSurd:
     if pq is None:
         raise TypeError("rotate expects QuadSurd or rational inputs")
     return mod1(pq + alpha)
-
-
-_QUARTER = Fraction(1, 4)
-
-
-def in_left_cell(p) -> bool:
-    """True iff mod1(p) lies in the half-open cell [0, 1/4)."""
-    return mod1(p) < _QUARTER
 
 
 def circle_distance(x, y) -> QuadSurd:

@@ -297,6 +297,11 @@ class TestSturmian:
         for vals in by_diff.values():
             assert len(vals) == 1
 
+    @pytest.mark.parametrize("max_shift", [0, -3])
+    def test_rejects_no_shift_pairs(self, max_shift):
+        with pytest.raises(ValueError, match="max_shift must be >= 1"):
+            sturmian_no_LY_check(SQRT2_4, max_shift, 2_000, 10)
+
 
 class TestSclosed:
     def test_positive_control(self):

@@ -3,8 +3,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+import oracle
 
 CLI = [sys.executable, "-m", "gehman.cli"]
 
@@ -48,6 +51,23 @@ class TestGen:
         p = run_cli("gen", "pt:1/4@1/8*sqrt(3)", "3")
         assert p.returncode == 2
         assert "collision" in p.stderr
+
+    def test_large_coefficients_match_the_oracle(self):
+        # An absolute 1e-7 float guard decided symbols 54262, 56701 and
+        # 59140 of this coding wrongly; the certified screen does not.
+        p = run_cli("gen", "pt:1/8@556712927-393655486*sqrt(2)", "60000")
+        assert p.returncode == 0
+        word = p.stdout.rstrip("\n")
+        oc = oracle.IntervalCoder(Fraction(1, 8), 0, 556712927, -393655486, 2)
+        for i in (54262, 56701, 59140):
+            assert word[i - 1] == str(oc.symbol(i - 1))
+        assert word[54000:] == "".join(str(oc.symbol(k)) for k in range(54000, 60000))
+
+    def test_huge_rational_part_stays_exact(self):
+        # den = 10^400 is past the float range, so no chunk is screened
+        p = run_cli("gen", "pt:1/8@1/1" + "0" * 400 + "+1*sqrt(2)", "20")
+        assert p.returncode == 0
+        assert p.stdout == "01111010111101111011\n"
 
 
 class TestDiamondCmd:
@@ -231,6 +251,12 @@ class TestSturmianCmd:
         assert len(lines) == 22
         assert all(line.endswith(",distal-candidate,1") for line in lines[1:])
         assert lines[1].startswith("0,1,7,")
+
+    @pytest.mark.parametrize("max_shift", ["0", "-3"])
+    def test_no_shift_pairs_is_usage_error(self, max_shift):
+        p = run_cli("sturmian-check", "--max-shift", max_shift, "--quick")
+        assert p.returncode == 2
+        assert p.stderr == "error: max_shift must be >= 1\n"
 
 
 class TestSclosedCmd:

@@ -1,13 +1,15 @@
 """Rotation codings, word machinery, and refinement atoms."""
 
 import random
+import re
 from bisect import insort
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -83,6 +85,51 @@ class TestRotationCoding:
         with pytest.raises(CutPointCollision) as ei:
             rc.word(2)
         assert ei.value.index == 2
+
+
+@st.composite
+def large_angles(draw):
+    """(start, rational part, B, d) for rotations by A - B*sqrt(d)."""
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    b = draw(st.integers(10**6, 10**9))
+    q = draw(st.integers(1, 11))
+    a = isqrt(b * b * d) + Fraction(draw(st.integers(0, q - 1)), q)
+    sq = draw(st.integers(1, 11))
+    start = Fraction(draw(st.integers(0, sq - 1)), sq)
+    assume(start not in (0, Fraction(1, 4)))
+    return start, a, b, d
+
+
+class TestCertifiedScreen:
+    @settings(max_examples=25)
+    @given(large_angles(), st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
+    def test_screen_against_exact_walk_and_oracle(self, angle, picks):
+        start, a, b, d = angle
+        rc = RotationCoding(start, QuadSurd(a, -b, d))
+        # n*6*B bounds mag/den, so keeping it below 2^44 keeps the whole
+        # chunk on the screen, and near its largest certified error
+        n = min(1 << 15, 2**44 // (6 * b))
+        chunk = rc._chunk(0, n)
+        assert isinstance(chunk, np.ndarray)
+        assert chunk.tobytes() == bytes(rc._exact(0, n))
+        oc = oracle.IntervalCoder(start, 0, a, -b, d)
+        for k in (int(t * n) for t in picks):
+            assert chunk[k] == oc.symbol(k)
+
+    @pytest.mark.parametrize("cut", ["0", "1/4"])
+    @pytest.mark.parametrize("k", [7, 40_000])
+    def test_collision_past_the_screen(self, cut, k):
+        # B = 1e12 keeps every chunk on the exact walk, whether it starts
+        # at index 0 or is reduced once at the colliding index k
+        alpha = QuadSurd(isqrt(2 * 10**24), -(10**12), 2)
+        rc = RotationCoding(mod1(Fraction(cut) - k * alpha), alpha)
+        assert isinstance(rc._chunk(0, k), bytearray)
+        msg = re.escape(f"cut-point collision at symbol index {k + 1} (point {cut})")
+        with pytest.raises(CutPointCollision, match=msg):
+            rc._exact(k, k + 5)
+        with pytest.raises(CutPointCollision, match=msg) as ei:
+            rc.word(k + 1)
+        assert ei.value.index == k + 1
 
 
 class TestStreams:

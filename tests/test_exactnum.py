@@ -13,10 +13,11 @@ from gehman.exactnum import (
     circle_distance,
     mod1,
     parse_surd,
-    quad_compare,
     rotate,
+    surd_floor,
     surd_sign_int,
 )
+from oracle import sqrt_bounds
 
 SQRT2 = QuadSurd(0, 1, 2)
 SQRT3 = QuadSurd(0, 1, 3)
@@ -87,7 +88,7 @@ class TestArithmetic:
     @given(surds(5), surds(5))
     def test_ordering_trichotomy(self, x, y):
         assert (x < y) + (x == y) + (y < x) == 1
-        assert quad_compare(x, y) == -quad_compare(y, x)
+        assert (x - y).sign() == -(y - x).sign()
 
     @given(surds(3), surds(3), surds(3))
     def test_ring_identities(self, x, y, z):
@@ -102,6 +103,35 @@ class TestArithmetic:
 
     def test_rational_bridges_fields(self):
         assert QuadSurd(1, 0, 2) + SQRT3 == QuadSurd(1, 1, 3)
+
+    def test_surd_floor_examples(self):
+        assert surd_floor(0, 1, 2, 1) == 1
+        assert surd_floor(0, -1, 2, 1) == -2
+        assert surd_floor(3, 0, 2, 2) == 1
+        assert surd_floor(-3, 0, 2, 2) == -2
+        # perfect squares: v*sqrt(d) is an integer and needs no rounding
+        assert surd_floor(0, -3, 4, 1) == -6
+        assert surd_floor(1, -3, 4, 7) == -1
+        # 577/408 is a Pell convergent a hair above sqrt(2)
+        assert surd_floor(577, -408, 2, 1) == 0
+        assert surd_floor(-577, 408, 2, 1) == -1
+
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.integers(-(10**30), 10**30),
+        st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 1009]),
+        st.integers(1, 10**12),
+    )
+    def test_surd_floor_against_interval_oracle(self, u, v, d, m):
+        prec = 64
+        while True:
+            lo, hi = sqrt_bounds(d, prec)
+            ends = sorted((u + v * lo, u + v * hi))
+            fl = [math.floor(e / m) for e in ends]
+            if fl[0] == fl[1]:
+                break
+            prec *= 2
+        assert surd_floor(u, v, d, m) == fl[0]
 
     def test_surd_sign_int(self):
         assert surd_sign_int(0, 1, 2) == 1
