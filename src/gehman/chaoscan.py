@@ -8,7 +8,7 @@ replaced) by the empirical scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -117,6 +117,66 @@ def _own_subject(certificate, x, y) -> bool:
     return streams is not None and streams[0] is x and streams[1] is y
 
 
+class _LcpRuns:
+    """``lcp_series(x, y, N, c)`` for every c <= cap, kept as its runs.
+
+    ``ends`` lists the mismatch positions among the first N + cap
+    symbols, then N + cap, up to the first one >= N.  The series
+    restarts after each mismatch: run k covers the shifts ends[k-1]+1 ..
+    ends[k] (from 0 for k = 0) and falls by one per shift from
+    min(gaps[k], c), where gaps[k] = ends[k] - ends[k-1] - 1.  So a
+    run's first shift carries its maximum, and the runs that start at
+    n <= N, which are these, give the max, the first argmax and the
+    first shift with lcp >= v without building the series.
+    """
+
+    def __init__(self, x: BitsLike, y: BitsLike, N: int, cap: int):
+        if N < 0 or cap < 1:
+            raise ValueError("need N >= 0 and cap >= 1")
+        length = N + cap
+        ax = _bits_for(x, length)
+        ay = _bits_for(y, length)
+        if min(ax.shape[0], ay.shape[0]) < length:
+            raise ValueError(f"input too short: fewer than {length} symbols")
+        neq = np.empty(length + 1, dtype=bool)
+        np.not_equal(ax, ay, out=neq[:length])
+        neq[length] = True
+        ends = np.flatnonzero(neq)
+        ends = ends[:int(np.searchsorted(ends, N)) + 1]
+        gaps = np.empty_like(ends)
+        gaps[0] = ends[0]
+        np.subtract(ends[1:], ends[:-1], out=gaps[1:])
+        gaps[1:] -= 1
+        self.N, self.ends, self.gaps = N, ends, gaps
+
+    def _start(self, k: int) -> int:
+        return int(self.ends[k] - self.gaps[k])
+
+    def peak(self, cap: int) -> tuple[int, int]:
+        """Max of the series at cap and the first shift that takes it."""
+        top = min(int(self.gaps.max()), cap)
+        return top, self._start(int(np.argmax(self.gaps >= top)))
+
+    def first_reaching(self, v: int, cap: int) -> tuple[int, int] | None:
+        """First (n, lcp) with lcp >= v at cap (v <= cap), or None."""
+        k = int(np.argmax(self.gaps >= v))
+        if self.gaps[k] < v:
+            return None
+        return self._start(k), min(int(self.gaps[k]), cap)
+
+    def first_low(self, c: int, cap: int) -> int | None:
+        """First n in [c, N] with lcp <= 2 at cap (c <= N), or None.
+
+        Before the first mismatch e >= c the series is min(e - n, cap),
+        so the answer is c when cap <= 2 and max(c, e - 2) otherwise.
+        """
+        if cap <= 2:
+            return c
+        e = int(self.ends[np.searchsorted(self.ends, c)])
+        n = max(c, e - 2)
+        return n if n <= self.N else None
+
+
 def classify_pair(
     x: BitsLike,
     y: BitsLike,
@@ -136,39 +196,28 @@ def classify_pair(
     is a theorem); both the pair scan and the certificate's subject
     scan are checked against the bound and reported.
 
-    When the subject streams are the scanned pair itself, one scan at
-    cap max(m+1, K+1) serves both.  ``subject_scans`` keeps each
-    certificate's subject result by (id, N), so that a caller
-    classifying several pairs under one certificate scans its subject
-    once.
+    Every field is read off the mismatch positions of one compare of
+    the two streams (``_LcpRuns``); the per-shift series is never built.
+    When the subject streams are the scanned pair itself, one compare
+    over N + max(m+1, K+1) symbols serves both caps.
+    ``subject_scans`` keeps each certificate's subject result by
+    (id, N), so that a caller classifying several pairs under one
+    certificate scans its subject once.
     """
     if N < 1 or m < 1:
         raise ValueError("need N >= 1 and m >= 1")
     cap = m + 1
-    full = None
-    if _own_subject(certificate, x, y):
-        # a scan at cap c yields every lower cap by np.minimum
-        full = lcp_series(x, y, N, max(cap, certificate.K + 1))
-        series = np.minimum(full, cap)
-    else:
-        series = lcp_series(x, y, N, cap)
-    max_val = int(series.max())
-    max_at = int(np.argmax(series))
-
-    proximal = None
-    hit = series >= m
-    if hit.any():
-        n0 = int(np.argmax(hit))
-        proximal = (n0, int(series[n0]))
-
-    low = np.flatnonzero(series <= 2)
+    own = _own_subject(certificate, x, y)
+    runs = _LcpRuns(x, y, N, max(cap, certificate.K + 1) if own else cap)
+    max_val, max_at = runs.peak(cap)
+    proximal = runs.first_reaching(m, cap)
     nonasym: list[tuple[int, int]] | None = []
     for c in _checkpoints(m, N):
-        pos = int(np.searchsorted(low, c))
-        if pos >= low.size:
+        n = runs.first_low(c, cap)
+        if n is None:
             nonasym = None
             break
-        nonasym.append((c, int(low[pos])))
+        nonasym.append((c, n))
 
     bound_check = None
     if certificate is not None:
@@ -189,12 +238,9 @@ def classify_pair(
             scans = {} if subject_scans is None else subject_scans
             key = (id(certificate), N)
             if key not in scans:
-                if full is not None:
-                    sub = np.minimum(full, sub_cap, out=full)
-                else:
-                    sub = lcp_series(*certificate.subject_streams, N, sub_cap)
+                sub = runs if own else _LcpRuns(*certificate.subject_streams, N, sub_cap)
                 # the entry keeps the certificate alive, so its id stays unique
-                scans[key] = (certificate, int(sub.max()), int(np.argmax(sub)))
+                scans[key] = (certificate, *sub.peak(sub_cap))
             _, smax, smax_at = scans[key]
             bound_check.update(
                 subject=certificate.subject,
@@ -440,6 +486,22 @@ class SturmianReport:
         return all(r.verdict == VERDICT_DISTAL and r.ok for r in self.pairs)
 
 
+def _window_max(series: np.ndarray, w: int) -> list[int]:
+    """max(series[i:i+w]) for every full window i = 0..len(series)-w.
+
+    The windows' starts and ends cut the series into pieces; one reduceat
+    pass takes each piece's max, and a window's max is that of its
+    pieces.  With fewer windows than w, that is one middle piece shared
+    by all of them and a few one-symbol pieces at each edge.
+    """
+    count = series.size - w + 1
+    cuts = np.union1d(np.arange(count), np.arange(w, series.size))
+    pieces = np.maximum.reduceat(series, cuts)
+    lo = np.searchsorted(cuts, np.arange(count)).tolist()
+    hi = np.searchsorted(cuts, np.arange(w, w + count)).tolist()
+    return [int(pieces[a:b].max()) for a, b in zip(lo, hi)]
+
+
 def sturmian_no_LY_check(
     alpha,
     max_shift: int = 50,
@@ -456,49 +518,34 @@ def sturmian_no_LY_check(
         raise ValueError("max_shift must be >= 1")
     a = sturmian_stream(alpha)
     profile = atom_profile(a.alpha)
-    certs: dict[int, DistalityCertificate] = {}
+    certs: dict[int, tuple[int, QuadSurd]] = {}
     for diff in range(1, max_shift + 1):
         delta = circle_distance(mod1(diff * a.alpha), QuadSurd(0))
         if delta.sign() == 0:
             raise RuntimeError("internal failure: rational rotation angle")
-        certs[diff] = DistalityCertificate(
-            K=profile.depth_for(delta),
-            delta=delta,
-            angle=a.alpha,
-            subject="pair",
-            derivation={"shift_difference": diff},
-        )
-    # Slices must cover both the pair scan (cap m+1) and the subject
-    # scan at cap K+1, whichever is longer.
-    k_max = max(c.K for c in certs.values())
-    base = a.array(N + max_shift + max(k_max, m) + 1)
+        certs[diff] = profile.depth_for(delta), delta
+    if N < 1 or m < 1:
+        raise ValueError("need N >= 1 and m >= 1")
+    # Pair (i, j) at shift n compares base[i+n:] with base[j+n:], so its
+    # series at cap K+1 is the window [i, i+N] of one series per shift
+    # difference; its max is the pair's max_lcp.
+    base = a.array(N + max_shift + max(K for K, _ in certs.values()) + 1)
     pairs = []
-    for i in range(max_shift + 1):
-        for j in range(i + 1, max_shift + 1):
-            cert = certs[j - i]
-            need = N + max(cert.K, m) + 1
-            ax = base[i:i + need]
-            ay = base[j:j + need]
-            pv = classify_pair(
-                ax,
-                ay,
-                N,
-                m,
-                certificate=replace(cert, subject_streams=(ax, ay)),
-                x_label=f"shift:{i}",
-                y_label=f"shift:{j}",
-            )
+    for diff, (K, delta) in certs.items():
+        series = lcp_series(base, base[diff:], N + max_shift - diff, K + 1)
+        for i, top in enumerate(_window_max(series, N + 1)):
             pairs.append(
                 SturmianPairRecord(
                     i=i,
-                    j=j,
-                    K=cert.K,
-                    delta=str(cert.delta),
-                    max_lcp=pv.bound_check["subject_max_lcp"],
-                    verdict=pv.verdict,
-                    ok=pv.bound_check["ok"],
+                    j=i + diff,
+                    K=K,
+                    delta=str(delta),
+                    max_lcp=top,
+                    verdict=VERDICT_DISTAL,
+                    ok=top < K,
                 )
             )
+    pairs.sort(key=lambda r: (r.i, r.j))
     return SturmianReport(
         alpha=str(a.alpha), max_shift=max_shift, N=N, m=m, pairs=pairs
     )

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gehman import chaoscan
 from gehman.chaoscan import (
     VERDICT_ASYMPTOTIC,
     VERDICT_DISTAL,
     VERDICT_LY,
+    DistalityCertificate,
     certified_b_distality,
     classify_pair,
     contained_in_short_periodic,
@@ -23,7 +25,7 @@ from gehman.chaoscan import (
     sturmian_no_LY_check,
     verdict_record,
 )
-from gehman.coding import PeriodicStream, lcp, shift
+from gehman.coding import PeriodicStream, lcp, shift, sturmian_stream
 from gehman.exactnum import QuadSurd
 from gehman.family import a_stream, b_stream, x_stream
 
@@ -143,6 +145,116 @@ class TestClassifyPair:
             classify_pair(PeriodicStream("0"), PeriodicStream("1"), 5, 0)
 
 
+def _series_fields(ax, ay, N, m, K):
+    """classify_pair's scan fields, read off lcp_series as the reference."""
+    series = lcp_series(ax, ay, N, m + 1)
+    hit = np.flatnonzero(series >= m)
+    low = np.flatnonzero(series <= 2)
+    nonasym = []
+    c = m
+    while c <= N:
+        later = low[low >= c]
+        if not later.size:
+            nonasym = None
+            break
+        nonasym.append((c, int(later[0])))
+        c *= 2
+    sub = lcp_series(ax, ay, N, K + 1)
+    return {
+        "max_lcp": (int(series.max()), int(np.argmax(series))),
+        "proximal": (int(hit[0]), int(series[hit[0]])) if hit.size else None,
+        "nonasymptotic": nonasym,
+        "subject": (int(sub.max()), int(np.argmax(sub))),
+    }
+
+
+def _check_against_series(ax, ay, N, m, K):
+    want = _series_fields(ax, ay, N, m, K)
+    cert = DistalityCertificate(
+        K=K, delta=QuadSurd(Fraction(1, 3)), angle=SQRT2_4, subject="pair"
+    )
+    plain = classify_pair(ax, ay, N, m)
+    own = classify_pair(
+        ax, ay, N, m, certificate=replace(cert, subject_streams=(ax, ay))
+    )
+    apart = classify_pair(
+        ax, ay, N, m, certificate=replace(cert, subject_streams=(ax.copy(), ay.copy()))
+    )
+    for pv in (plain, own, apart):
+        got = {
+            "max_lcp": pv.max_lcp,
+            "proximal": pv.proximal_evidence,
+            "nonasymptotic": pv.nonasymptotic_evidence,
+        }
+        assert got == {k: v for k, v in want.items() if k != "subject"}
+    for pv in (own, apart):
+        bc = pv.bound_check
+        assert (bc["subject_max_lcp"], bc["subject_max_at"]) == want["subject"]
+        assert bc["pair_max_lcp"] == want["max_lcp"][0]
+
+
+def _bits(word):
+    return np.array([int(c) for c in word], dtype=np.uint8)
+
+
+class TestRunsAgainstSeries:
+    """classify_pair reads mismatch runs; lcp_series is the reference."""
+
+    # raw arrays exactly N + max(m+1, K+1) long, the own subject's compare
+    @pytest.mark.parametrize("N,m,K", [
+        (1, 1, 1), (1, 1, 6), (1, 4, 2), (9, 1, 3), (40, 1, 1),
+        (40, 3, 9), (40, 9, 3), (64, 5, 5), (200, 2, 30),
+    ])
+    @pytest.mark.parametrize(
+        "pattern", ["equal", "complement", "last", "first", "alternate"]
+    )
+    def test_edge_patterns(self, N, m, K, pattern):
+        length = N + max(m, K) + 1
+        ax = np.zeros(length, dtype=np.uint8)
+        ay = ax.copy()
+        if pattern == "complement":  # every position a mismatch
+            ay[:] = 1
+        elif pattern == "last":  # the only mismatch at N + cap - 1
+            ay[-1] = 1
+        elif pattern == "first":
+            ay[0] = 1
+        elif pattern == "alternate":
+            ay[::2] = 1
+        _check_against_series(ax, ay, N, m, K)
+
+    @given(st.data())
+    def test_random_pairs(self, data):
+        N = data.draw(st.integers(1, 120))
+        m = data.draw(st.integers(1, 12))
+        K = data.draw(st.integers(1, 16))
+        length = N + max(m, K) + 1
+        wx = data.draw(st.text("01", min_size=length, max_size=length))
+        kind = data.draw(st.sampled_from(["random", "flips", "periodic"]))
+        if kind == "random":
+            wy = data.draw(st.text("01", min_size=length, max_size=length))
+        elif kind == "flips":
+            flips = data.draw(st.sets(st.integers(0, length - 1), max_size=8))
+            wy = "".join("10"[int(c)] if i in flips else c for i, c in enumerate(wx))
+        else:
+            period = data.draw(st.text("01", min_size=1, max_size=6))
+            wy = (period * length)[:length]
+        _check_against_series(_bits(wx), _bits(wy), N, m, K)
+
+    @given(st.integers(1, 12), st.integers(1, 300), st.integers(1, 25))
+    def test_sturmian_max_lcp_matches_each_pair(self, max_shift, N, m):
+        rep = sturmian_no_LY_check(SQRT2_4, max_shift, N, m)
+        assert [(r.i, r.j) for r in rep.pairs] == [
+            (i, j) for i in range(max_shift + 1) for j in range(i + 1, max_shift + 1)
+        ]
+        k_max = max(r.K for r in rep.pairs)
+        base = sturmian_stream(SQRT2_4).array(N + max_shift + k_max + 1)
+        for r in rep.pairs:
+            want = lcp_series(base[r.i:], base[r.j:], N, r.K + 1).max()
+            assert r.max_lcp == want
+            assert r.ok == (want < r.K)
+            assert r.verdict == VERDICT_DISTAL
+
+
 class TestVerdictRecord:
     def test_key_order_plain(self):
         pv = classify_pair(a_stream("000"), b_stream("000"), 1000, 10)
@@ -250,18 +362,20 @@ class TestScrambledScan:
 
     def test_shared_certificate_subject_scanned_once(self, monkeypatch):
         # x-pair and b-pair share one certificate whose subject is the
-        # b-pair: two scans in all, and records stay in pair order
+        # b-pair: six scans in all (one per pair, the subject's included),
+        # and records stay in pair order
         calls = []
 
-        def counted(*args):
-            calls.append(args[2:])
-            return lcp_series(*args)
+        class Counted(chaoscan._LcpRuns):
+            def __init__(self, *args):
+                calls.append(args[2:])
+                super().__init__(*args)
 
         cert = certified_b_distality("000", "111")
         points = [x_stream("000"), x_stream("111"), b_stream("000"), b_stream("111")]
         certs = {("x:000", "x:111"): cert, ("b:000", "b:111"): cert}
         want = scrambled_scan(points, 1000, 10, certificates=certs)
-        monkeypatch.setattr("gehman.chaoscan.lcp_series", counted)
+        monkeypatch.setattr(chaoscan, "_LcpRuns", Counted)
         got = scrambled_scan(points, 1000, 10, certificates=certs)
         assert len(calls) == 6
         assert [verdict_record(pv) for pv in got.records] == [
