@@ -7,12 +7,12 @@ Symbol indices are 1-based in every public contract (symbol i describes
 the orbit point after i-1 rotation steps); internal buffers are 0-based
 uint8 arrays.
 
-Generation is exact: a float screen with a certified error bound
-classifies the points safely inside a cell, and every point within that
-bound of 0, 1/4 or 1 is decided by an exact integer walk, as is every
-chunk whose integers leave the float range.  An orbit point that hits 0
-or 1/4 exactly raises :class:`CutPointCollision` instead of silently
-picking a side.
+Generation is exact and uses no float: each chunk reduces its start
+point and the angle once, exactly, to 64-bit fixed-point floors, steps
+the orbit in wrapping uint64 arithmetic, and decides exactly, point by
+point, every symbol whose accumulated rounding window reaches the cut
+0 or 1/4.  An orbit point that hits 0 or 1/4 exactly raises
+:class:`CutPointCollision` instead of silently picking a side.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from gehman.exactnum import QuadSurd, mod1, rotate, surd_floor, surd_sign_int
 
 _CHUNK = 1 << 15
+_QUARTER = np.uint64(1 << 62)  # the cut 1/4 in 64-bit fixed point
 
 
 class CutPointCollision(Exception):
@@ -105,8 +106,7 @@ class RotationCoding(SymbolStream):
     """Itinerary of ``start`` under rotation by irrational ``alpha``.
 
     Symbol i is 0 iff the orbit point after i-1 steps lies in [0, 1/4).
-    State is kept as integers over one common denominator so each step
-    is two integer adds plus a reduction test.
+    Start and angle are kept as integers over one common denominator.
     """
 
     def __init__(self, start, alpha, label: str | None = None):
@@ -144,58 +144,47 @@ class RotationCoding(SymbolStream):
             hi = min(max(n, lo + _CHUNK), lo + 4 * _CHUNK)
             self._append(self._chunk(lo, hi))
 
-    def _chunk(self, lo: int, hi: int) -> np.ndarray | bytearray:
-        # The float screen evaluates (u0 + i*du + (v0 + i*dv)*sqrt(d))/den.
-        # mag bounds |u| + |v|*(isqrt(d)+1) and every integer term for
-        # i < hi.  While mag and den stay below 2^52 those terms are exact,
-        # and the error is at most four roundings (sqrt(d), the product,
-        # the sum, the division) of mag/den, so eps is 8 times that bound.
-        # A point whose float image lies within eps of 0, 1/4 or 1 is
-        # decided exactly; past the float range the whole chunk is.
-        d, den = self._d, self._den
-        mag = abs(self._u0) + hi * abs(self._du)
-        mag += (abs(self._v0) + hi * abs(self._dv)) * (math.isqrt(d) + 1)
-        if mag >= min(2**52, den << 44) or den >= 2**52:
-            return self._exact(lo, hi)
-        eps = 2.0**-48 * mag / den
-        idx = np.arange(lo, hi, dtype=np.float64)
-        # op by op in place, which keeps the chunk's temporaries to two
-        f = idx * self._du + self._u0
-        idx *= self._dv
-        idx += self._v0
-        idx *= math.sqrt(d)
-        f += idx
-        f /= den
-        f -= np.floor(f, out=idx)
-        sym = (f >= 0.25).astype(np.uint8)
-        risky = (f < eps) | (np.abs(f - 0.25) < eps) | (f > 1.0 - eps)
+    def _chunk(self, lo: int, hi: int) -> np.ndarray:
+        # Fixed point with 64 fraction bits.  x0 and a are the floors of
+        # 2^64 times the point at lo and the angle, reduced mod 1, so
+        # uint64 arithmetic, which wraps mod 2^64, gives x_j = x0 + j*a
+        # with the true point at x_j + delta, 0 <= delta < j + 1 units.
+        # A point whose window [x_j, x_j + n] holds a cut (0 or 2^62) is
+        # decided exactly.
+        d, den, n = self._d, self._den, hi - lo
+        u, v = self._u0 + lo * self._du, self._v0 + lo * self._dv
+        x0 = surd_floor(u << 64, v << 64, d, den) % 2**64
+        a = surd_floor(self._du << 64, self._dv << 64, d, den) % 2**64
+        x = np.arange(n, dtype=np.uint64)
+        x *= np.uint64(a)
+        x += np.uint64(x0)
+        sym = (x >= _QUARTER).view(np.uint8)
+        # (x + w) mod 2^64 <= w iff x lies in [-w, 0] mod 2^64
+        w = np.uint64(n)
+        x += w
+        risky = x <= w
+        x -= _QUARTER
+        risky |= x <= w
         for j in np.flatnonzero(risky).tolist():
-            sym[j] = self._exact(lo + j, lo + j + 1)[0]
+            sym[j] = self._symbol_at(lo + j)
         return sym
 
-    def _exact(self, lo: int, hi: int) -> bytearray:
-        """Symbols lo+1..hi by an exact integer walk.
+    def _symbol_at(self, i: int) -> int:
+        """Symbol i+1, decided exactly.
 
-        The point at 0-based index lo is (u + v*sqrt(d))/den, reduced
-        once by :func:`surd_floor`; each step adds the angle and
-        subtracts 1 when the point passes it.
+        The point at 0-based index i is (u + v*sqrt(d))/den, reduced
+        mod 1 by :func:`surd_floor` and compared with 1/4 by
+        :func:`surd_sign_int`.
         """
-        m, d, du, dv = self._den, self._d, self._du, self._dv
-        u, v = self._u0 + lo * du, self._v0 + lo * dv
+        m, d = self._den, self._d
+        u, v = self._u0 + i * self._du, self._v0 + i * self._dv
         u -= m * surd_floor(u, v, d, m)
-        out = bytearray()
-        for i in range(lo, hi):
-            if u == 0 and v == 0:
-                raise CutPointCollision(i + 1, "0")
-            q = surd_sign_int(4 * u - m, 4 * v, d)
-            if q == 0:
-                raise CutPointCollision(i + 1, "1/4")
-            out.append(0 if q < 0 else 1)
-            u += du
-            v += dv
-            if surd_sign_int(u - m, v, d) >= 0:
-                u -= m
-        return out
+        if u == 0 and v == 0:
+            raise CutPointCollision(i + 1, "0")
+        q = surd_sign_int(4 * u - m, 4 * v, d)
+        if q == 0:
+            raise CutPointCollision(i + 1, "1/4")
+        return 0 if q < 0 else 1
 
 
 class PeriodicStream(SymbolStream):

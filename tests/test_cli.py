@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -63,8 +64,21 @@ class TestGen:
             assert word[i - 1] == str(oc.symbol(i - 1))
         assert word[54000:] == "".join(str(oc.symbol(k)) for k in range(54000, 60000))
 
+    def test_huge_surd_coefficients_match_the_oracle(self):
+        # B = 10^30: the angle's integers are ~100 bits, and each chunk
+        # is still reduced exactly to 64-bit fixed point once
+        b = 10**30
+        a = isqrt(2 * b * b)
+        p = run_cli("gen", f"pt:1/8@{a}-{b}*sqrt(2)", "100000")
+        assert p.returncode == 0
+        word = p.stdout.rstrip("\n")
+        assert len(word) == 100000
+        oc = oracle.IntervalCoder(Fraction(1, 8), 0, a, -b, 2)
+        for i in [*range(0, 100000, 997), *range(98000, 100000)]:
+            assert word[i] == str(oc.symbol(i))
+
     def test_huge_rational_part_stays_exact(self):
-        # den = 10^400 is past the float range, so no chunk is screened
+        # den = 10^400: each chunk is reduced to 64-bit fixed point exactly
         p = run_cli("gen", "pt:1/8@1/1" + "0" * 400 + "+1*sqrt(2)", "20")
         assert p.returncode == 0
         assert p.stdout == "01111010111101111011\n"

@@ -1,11 +1,12 @@
 """Rotation codings, word machinery, and refinement atoms."""
 
+import functools
 import random
 import re
 from bisect import insort
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from gehman.coding import (
     shift,
     sturmian_stream,
 )
-from gehman.exactnum import QuadSurd, circle_distance, mod1
+from gehman.exactnum import (
+    QuadSurd,
+    circle_distance,
+    mod1,
+    surd_floor,
+    surd_sign_int,
+)
 from gehman.dendrite import family_model, no_isolated_points_check
 from gehman.diamond import diamond
 from gehman.family import FamilyConfig, a_stream, b_stream, x_stream
@@ -87,49 +94,122 @@ class TestRotationCoding:
         assert ei.value.index == 2
 
 
+def reference_walk(start: QuadSurd, alpha: QuadSurd, lo: int, hi: int) -> bytes:
+    """Symbols lo+1..hi of RotationCoding(start, alpha) by a per-symbol walk.
+
+    The generator's former exact path, kept as a reference: the point
+    at lo is reduced once with surd_floor, and each step adds the angle
+    and subtracts 1 when the point passes it, so start and alpha must be
+    reduced mod 1, as RotationCoding keeps them.
+    """
+    d = alpha.d
+    m = lcm(start.a.denominator, start.b.denominator,
+            alpha.a.denominator, alpha.b.denominator)
+    du, dv = int(alpha.a * m), int(alpha.b * m)
+    u, v = int(start.a * m) + lo * du, int(start.b * m) + lo * dv
+    u -= m * surd_floor(u, v, d, m)
+    out = bytearray()
+    for i in range(lo, hi):
+        if u == 0 and v == 0:
+            raise CutPointCollision(i + 1, "0")
+        q = surd_sign_int(4 * u - m, 4 * v, d)
+        if q == 0:
+            raise CutPointCollision(i + 1, "1/4")
+        out.append(0 if q < 0 else 1)
+        u += du
+        v += dv
+        if surd_sign_int(u - m, v, d) >= 0:
+            u -= m
+    return bytes(out)
+
+
 @st.composite
-def large_angles(draw):
+def large_angles(draw, max_den=11):
     """(start, rational part, B, d) for rotations by A - B*sqrt(d)."""
     d = draw(st.sampled_from([2, 3, 5, 7]))
-    b = draw(st.integers(10**6, 10**9))
-    q = draw(st.integers(1, 11))
+    b = draw(st.integers(10**6, 10**30))
+    q = draw(st.integers(1, max_den))
     a = isqrt(b * b * d) + Fraction(draw(st.integers(0, q - 1)), q)
-    sq = draw(st.integers(1, 11))
+    sq = draw(st.integers(1, max_den))
     start = Fraction(draw(st.integers(0, sq - 1)), sq)
     assume(start not in (0, Fraction(1, 4)))
     return start, a, b, d
 
 
+def theta(d: int) -> QuadSurd:
+    """isqrt(d*10^40) + 1 - 10^20*sqrt(d), an irrational in (0, 1)."""
+    return QuadSurd(isqrt(d * 10**40) + 1, -(10**20), d)
+
+
 class TestCertifiedScreen:
+    """The uint64 fixed-point screen against the walk and the oracle."""
+
     @settings(max_examples=25)
     @given(large_angles(), st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
     def test_screen_against_exact_walk_and_oracle(self, angle, picks):
         start, a, b, d = angle
-        rc = RotationCoding(start, QuadSurd(a, -b, d))
-        # n*6*B bounds mag/den, so keeping it below 2^44 keeps the whole
-        # chunk on the screen, and near its largest certified error
-        n = min(1 << 15, 2**44 // (6 * b))
-        chunk = rc._chunk(0, n)
-        assert isinstance(chunk, np.ndarray)
-        assert chunk.tobytes() == bytes(rc._exact(0, n))
+        alpha = QuadSurd(a, -b, d)
+        rc = RotationCoding(start, alpha)
+        # two chunks, so the second is anchored at lo = 2^15
+        n = 1 << 16
+        rc.array(n // 2)
+        got = rc.prefix(n)
+        assert got == reference_walk(rc.start, rc.alpha, 0, n)
         oc = oracle.IntervalCoder(start, 0, a, -b, d)
         for k in (int(t * n) for t in picks):
-            assert chunk[k] == oc.symbol(k)
+            assert got[k] == oc.symbol(k)
+
+    @settings(max_examples=15)
+    @given(large_angles(max_den=10**400), st.integers(0, 1 << 17),
+           st.lists(st.floats(0, 1, exclude_max=True), max_size=8))
+    def test_huge_denominators_against_walk_and_oracle(self, angle, lo, picks):
+        # den up to 10^400 is far past any float; every chunk is screened
+        start, a, b, d = angle
+        alpha = QuadSurd(a, -b, d)
+        rc = RotationCoding(start, alpha)
+        got = rc.prefix(lo + 300)
+        assert got[lo:] == reference_walk(rc.start, rc.alpha, lo, lo + 300)
+        oc = oracle.IntervalCoder(start, 0, a, -b, d)
+        for k in (int(t * (lo + 300)) for t in picks):
+            assert got[k] == oc.symbol(k)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cut", ["0", "1/4"])
+    @pytest.mark.parametrize("k", [7, 40_000])
+    @pytest.mark.parametrize("units", [-3, -2, -1, 0, 1, 2])
+    def test_points_units_from_a_cut(self, d, cut, k, units):
+        # Symbol k+1 codes cut + (units + theta)*2^-64, closer to the cut
+        # than the k + 1 units the screen may have rounded away by then,
+        # so it must be decided exactly, on the right side and without a
+        # collision.
+        offset = (units + theta(d)) * Fraction(1, 2**64)
+        above = units >= 0
+        want = int(above) if cut == "1/4" else int(not above)
+        for b in (10**6, 10**12, 10**30):
+            alpha = QuadSurd(isqrt(d * b * b) + Fraction(1, 3), -b, d)
+            start = mod1(Fraction(cut) + offset - k * alpha)
+            got = RotationCoding(start, alpha).prefix(k + 5)
+            assert got[k] == want
+            oc = oracle.IntervalCoder(start.a, start.b, alpha.a, alpha.b, d)
+            assert list(got[k - 3:]) == [oc.symbol(j) for j in range(k - 3, k + 5)]
 
     @pytest.mark.parametrize("cut", ["0", "1/4"])
     @pytest.mark.parametrize("k", [7, 40_000])
     def test_collision_past_the_screen(self, cut, k):
-        # B = 1e12 keeps every chunk on the exact walk, whether it starts
-        # at index 0 or is reduced once at the colliding index k
-        alpha = QuadSurd(isqrt(2 * 10**24), -(10**12), 2)
-        rc = RotationCoding(mod1(Fraction(cut) - k * alpha), alpha)
-        assert isinstance(rc._chunk(0, k), bytearray)
+        # the chunk before index k is clean, and the collision is found
+        # by a chunk anchored at index 0 or at k, for small and huge B
         msg = re.escape(f"cut-point collision at symbol index {k + 1} (point {cut})")
-        with pytest.raises(CutPointCollision, match=msg):
-            rc._exact(k, k + 5)
-        with pytest.raises(CutPointCollision, match=msg) as ei:
-            rc.word(k + 1)
-        assert ei.value.index == k + 1
+        for b in (10**12, 10**30):
+            alpha = QuadSurd(isqrt(2 * b * b), -b, 2)
+            rc = RotationCoding(mod1(Fraction(cut) - k * alpha), alpha)
+            walk = functools.partial(reference_walk, rc.start, rc.alpha)
+            assert rc._chunk(0, k).tobytes() == walk(0, k)
+            for chunk in (rc._chunk, walk):
+                with pytest.raises(CutPointCollision, match=msg):
+                    chunk(k, k + 5)
+            with pytest.raises(CutPointCollision, match=msg) as ei:
+                rc.word(k + 1)
+            assert ei.value.index == k + 1
 
 
 class TestStreams:

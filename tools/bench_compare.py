@@ -24,7 +24,8 @@ checkout's path alone was seen to shift ``gen-fresh`` ``wall_s`` by
 
 then one traced run per side over all the workloads, and the wall
 times (each run and their median), exit codes and stdout sha256 of the
-default CLI commands of the ROADMAP baseline table, each run
+default CLI commands of the ROADMAP baseline table and two ``gen``
+calls (the ``gen-fresh`` edge spec and a 1e6-symbol ``A:`` spec), each run
 ``L5_RUNS`` times per side, alternating which side goes first.
 ``l5_identical`` holds, per command, whether every run of both sides
 gave the same exit code and stdout.
@@ -63,6 +64,8 @@ L5_COMMANDS = [
     ["omega", "000", "111"],
     ["diamond", "000"],
     ["pair", "x:000", "a:000"],
+    ["gen", "pt:1/8@2000000000-1414213562*sqrt(2)", "150000"],
+    ["gen", "A:1/3+1/4*sqrt(2)", "1000000"],
 ]
 
 
