@@ -51,29 +51,17 @@ def _label(x: BitsLike, fallback: str) -> str:
 
 def lcp_series(x: BitsLike, y: BitsLike, N: int, cap: int) -> np.ndarray:
     """series[n] = lcp(shift(x, n), shift(y, n), cap) for n = 0..N."""
-    if N < 0 or cap < 1:
-        raise ValueError("need N >= 0 and cap >= 1")
-    length = N + cap
-    ax = _bits_for(x, length)
-    ay = _bits_for(y, length)
-    if min(ax.shape[0], ay.shape[0]) < length:
-        raise ValueError(f"input too short: fewer than {length} symbols")
-    # ends lists the mismatches, then length; repeating each over the
-    # shifts up to it gives, in one pass, the first mismatch at or after
-    # every shift n.
-    mism = np.flatnonzero(ax != ay)
-    ends = np.append(mism, length).astype(np.int64, copy=False)
-    nxt = np.repeat(ends, np.diff(ends, prepend=-1))[:N + 1]
-    nxt -= np.arange(N + 1, dtype=np.int64)
-    return np.minimum(nxt, cap, out=nxt)
+    return _LcpRuns(x, y, N, cap).series(cap)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistalityCertificate:
     """Lower bound dist >= 2^-K for all shifts of a pair, with derivation.
 
     The bound constrains ``subject``; when subject_streams is set the
-    scan validates the bound on those streams directly.
+    scan validates the bound on those streams directly.  The subject's
+    (max lcp, first argmax) at cap K+1 is kept by horizon N: the fields
+    that decide it are frozen, so N is the whole key.
     """
 
     K: int
@@ -82,6 +70,7 @@ class DistalityCertificate:
     subject: str
     subject_streams: tuple[BitsLike, BitsLike] | None = None
     derivation: dict = field(default_factory=dict)
+    _subject_peaks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def bound(self) -> Fraction:
@@ -120,14 +109,15 @@ def _own_subject(certificate, x, y) -> bool:
 class _LcpRuns:
     """``lcp_series(x, y, N, c)`` for every c <= cap, kept as its runs.
 
-    ``ends`` lists the mismatch positions among the first N + cap
-    symbols, then N + cap, up to the first one >= N.  The series
-    restarts after each mismatch: run k covers the shifts ends[k-1]+1 ..
-    ends[k] (from 0 for k = 0) and falls by one per shift from
-    min(gaps[k], c), where gaps[k] = ends[k] - ends[k-1] - 1.  So a
-    run's first shift carries its maximum, and the runs that start at
-    n <= N, which are these, give the max, the first argmax and the
-    first shift with lcp >= v without building the series.
+    The one compare of two streams in this module.  ``ends`` lists the
+    mismatch positions among the first N + cap symbols, then N + cap, up
+    to the first one >= N.  The series restarts after each mismatch: run
+    k covers the shifts ends[k-1]+1 .. ends[k] (from 0 for k = 0) and
+    falls by one per shift from min(gaps[k], c), where gaps[k] = ends[k]
+    - ends[k-1] - 1.  So a run's first shift carries its maximum, and the
+    runs that start at n <= N, which are these, give the max, the first
+    argmax and the first shift with lcp >= v without building the
+    series; ``series`` builds it for ``lcp_series``.
     """
 
     def __init__(self, x: BitsLike, y: BitsLike, N: int, cap: int):
@@ -151,6 +141,12 @@ class _LcpRuns:
 
     def _start(self, k: int) -> int:
         return int(self.ends[k] - self.gaps[k])
+
+    def series(self, cap: int) -> np.ndarray:
+        """The series at cap, as int64: each end repeated over its run."""
+        nxt = np.repeat(self.ends, self.gaps + 1)[:self.N + 1].astype(np.int64, copy=False)
+        nxt -= np.arange(self.N + 1, dtype=np.int64)
+        return np.minimum(nxt, cap, out=nxt)
 
     def peak(self, cap: int) -> tuple[int, int]:
         """Max of the series at cap and the first shift that takes it."""
@@ -185,24 +181,22 @@ def classify_pair(
     certificate: DistalityCertificate | None = None,
     x_label: str | None = None,
     y_label: str | None = None,
-    *,
-    subject_scans: dict | None = None,
 ) -> PairVerdict:
     """Scan shifts n = 0..N at lcp cap m+1 and classify the pair.
 
     Evidence: proximal = first n with lcp >= m; non-asymptotic = for
-    every checkpoint c in {m, 2m, 4m, ...} some n in [c, N] with
-    lcp <= 2.  A certificate overrides the empirical verdict (its bound
-    is a theorem); both the pair scan and the certificate's subject
-    scan are checked against the bound and reported.
+    every checkpoint c in {m, 2m, 4m, ...} up to N, of which there must
+    be at least one, some n in [c, N] with lcp <= 2.  A certificate
+    overrides the empirical verdict (its bound is a theorem); both the
+    pair scan and the certificate's subject scan are checked against
+    the bound and reported.
 
     Every field is read off the mismatch positions of one compare of
     the two streams (``_LcpRuns``); the per-shift series is never built.
     When the subject streams are the scanned pair itself, one compare
-    over N + max(m+1, K+1) symbols serves both caps.
-    ``subject_scans`` keeps each certificate's subject result by
-    (id, N), so that a caller classifying several pairs under one
-    certificate scans its subject once.
+    over N + max(m+1, K+1) symbols serves both caps.  The subject's
+    result is kept on the certificate by N, so the subject is compared
+    once for all the pairs classified under one certificate.
     """
     if N < 1 or m < 1:
         raise ValueError("need N >= 1 and m >= 1")
@@ -211,13 +205,9 @@ def classify_pair(
     runs = _LcpRuns(x, y, N, max(cap, certificate.K + 1) if own else cap)
     max_val, max_at = runs.peak(cap)
     proximal = runs.first_reaching(m, cap)
-    nonasym: list[tuple[int, int]] | None = []
-    for c in _checkpoints(m, N):
-        n = runs.first_low(c, cap)
-        if n is None:
-            nonasym = None
-            break
-        nonasym.append((c, n))
+    nonasym = [(c, runs.first_low(c, cap)) for c in _checkpoints(m, N)]
+    if not nonasym or any(n is None for _, n in nonasym):
+        nonasym = None
 
     bound_check = None
     if certificate is not None:
@@ -235,13 +225,11 @@ def classify_pair(
         }
         if certificate.subject_streams is not None:
             sub_cap = certificate.K + 1
-            scans = {} if subject_scans is None else subject_scans
-            key = (id(certificate), N)
-            if key not in scans:
+            peaks = certificate._subject_peaks
+            if N not in peaks:
                 sub = runs if own else _LcpRuns(*certificate.subject_streams, N, sub_cap)
-                # the entry keeps the certificate alive, so its id stays unique
-                scans[key] = (certificate, *sub.peak(sub_cap))
-            _, smax, smax_at = scans[key]
+                peaks[N] = sub.peak(sub_cap)
+            smax, smax_at = peaks[N]
             bound_check.update(
                 subject=certificate.subject,
                 subject_max_lcp=smax,
@@ -375,9 +363,8 @@ def scrambled_scan(
             )
             pairs.append((i, j, cert))
     # A pair that is its own certificate's subject goes first: its one
-    # scan covers both caps and leaves the subject result for the other
-    # pairs under that certificate.  Records keep the pair order.
-    subject_scans: dict = {}
+    # scan covers both caps and leaves the subject result on the
+    # certificate for the other pairs.  Records keep the pair order.
     verdicts = {}
     for i, j, cert in sorted(
         pairs, key=lambda p: _own_subject(p[2], points[p[0]], points[p[1]]),
@@ -391,7 +378,6 @@ def scrambled_scan(
             certificate=cert,
             x_label=labels[i],
             y_label=labels[j],
-            subject_scans=subject_scans,
         )
     records = [verdicts[i, j] for i, j, _ in pairs]
     edges = {

@@ -210,8 +210,6 @@ class _Run:
 
     def codes(self) -> list[str]:
         inline = self.opt("codes_inline", None)
-        if inline is None and "codes-inline" in self.cfg:
-            inline = self.cfg["codes-inline"]
         if inline is not None:
             names = [c.strip() for c in inline.split(",") if c.strip()]
         else:
@@ -220,6 +218,13 @@ class _Run:
         if not names:
             raise SpecError("empty code list")
         return names
+
+    def factor_len(self, default: int) -> int:
+        text = self.opt("factor_len", str(default))
+        lengths = _factor_range(text)
+        if len(lengths) != 1:
+            raise SpecError(f"{self.args.command} takes one factor length, not {text!r}")
+        return lengths[0]
 
     def fmt(self, default: str, allowed: tuple[str, ...]) -> str:
         f = self.opt("fmt", default)
@@ -269,7 +274,7 @@ def cmd_gen(run: _Run) -> int:
 
 def cmd_diamond(run: _Run) -> int:
     code = run.args.code
-    n = int(run.opt("factor_len", 20, str))
+    n = run.factor_len(20)
     horizon, _ = run.scan_params()
     source_horizon = run.opt("source_horizon", 10_000, int)
     a = a_stream(code)
@@ -313,14 +318,16 @@ def cmd_pair(run: _Run) -> int:
     fmt = run.fmt("jsonl", ("jsonl", "csv", "text"))
     x = parse_stream_spec(run.args.x)
     y = parse_stream_spec(run.args.y)
+    # the certificate is built for every format, so aliasing codes exit 2
     cert = _auto_certificate(run.args.x, run.args.y)
-    pv = classify_pair(x, y, N, m, certificate=cert)
     if fmt == "csv":
         series = lcp_series(x, y, N, m + 1)
         rows = ["n,lcp,dist_exponent"]
         rows.extend(f"{n},{v},{v + 1}" for n, v in enumerate(series.tolist()))
         run.emit("\n".join(rows) + "\n")
-    elif fmt == "text":
+        return EXIT_OK
+    pv = classify_pair(x, y, N, m, certificate=cert)
+    if fmt == "text":
         lines = [f"pair: {pv.x_label} | {pv.y_label}", f"verdict: {pv.verdict}"]
         lines.append(f"params: N={pv.N} m={pv.m}")
         if pv.proximal_evidence:
@@ -511,7 +518,7 @@ def cmd_dendrite(run: _Run) -> int:
         run.emit(emit_graph(model, depth))
         return EXIT_OK
     if sub == "check":
-        n = int(run.opt("factor_len", 5, str))
+        n = run.factor_len(5)
         ext = run.opt("ext", 10, int)
         iso = no_isolated_points_check(model, n, ext)
         finv = f_invariance_check(model, n)
@@ -587,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="limit coherence along the nested code family")
     sp.add_argument("--depth", type=int)
 
-    sp = sub.add_parser("dendrite", parents=[common], help="dendrite tools")
+    # no common options here: the subcommand's defaults would overwrite them
+    sp = sub.add_parser("dendrite", help="dendrite tools")
     dsub = sp.add_subparsers(dest="dendrite_cmd", required=True)
     dp = dsub.add_parser("iterate", parents=[common],
                          help="orbit of a point literal")

@@ -1,6 +1,6 @@
 """Pair classification, scrambled-set scans, certificates, limit checks."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,11 +25,32 @@ from gehman.chaoscan import (
     sturmian_no_LY_check,
     verdict_record,
 )
-from gehman.coding import PeriodicStream, lcp, shift, sturmian_stream
+from gehman.coding import PeriodicStream, _bits_for, lcp, shift, sturmian_stream
 from gehman.exactnum import QuadSurd
 from gehman.family import a_stream, b_stream, x_stream
 
 SQRT2_4 = QuadSurd(0, Fraction(1, 4), 2)
+
+
+def reference_lcp_series(x, y, N, cap):
+    """lcp_series by its former compare, kept as a reference.
+
+    One compare over N + cap symbols; ends lists the mismatches, then
+    N + cap, and repeating each over the shifts up to it gives the first
+    mismatch at or after every shift.
+    """
+    if N < 0 or cap < 1:
+        raise ValueError("need N >= 0 and cap >= 1")
+    length = N + cap
+    ax = _bits_for(x, length)
+    ay = _bits_for(y, length)
+    if min(ax.shape[0], ay.shape[0]) < length:
+        raise ValueError(f"input too short: fewer than {length} symbols")
+    mism = np.flatnonzero(ax != ay)
+    ends = np.append(mism, length).astype(np.int64, copy=False)
+    nxt = np.repeat(ends, np.diff(ends, prepend=-1))[:N + 1]
+    nxt -= np.arange(N + 1, dtype=np.int64)
+    return np.minimum(nxt, cap, out=nxt)
 
 
 class TestLcpSeries:
@@ -84,6 +105,8 @@ class TestLcpSeries:
             lcp_series(PeriodicStream("0"), PeriodicStream("1"), -1, 5)
         with pytest.raises(ValueError):
             lcp_series(PeriodicStream("0"), PeriodicStream("1"), 5, 0)
+        with pytest.raises(ValueError, match="^input too short: fewer than 12 symbols$"):
+            lcp_series(np.zeros(11, np.uint8), np.zeros(12, np.uint8), 8, 4)
 
 
 class TestClassifyPair:
@@ -146,8 +169,8 @@ class TestClassifyPair:
 
 
 def _series_fields(ax, ay, N, m, K):
-    """classify_pair's scan fields, read off lcp_series as the reference."""
-    series = lcp_series(ax, ay, N, m + 1)
+    """classify_pair's scan fields, read off the reference series."""
+    series = reference_lcp_series(ax, ay, N, m + 1)
     hit = np.flatnonzero(series >= m)
     low = np.flatnonzero(series <= 2)
     nonasym = []
@@ -159,11 +182,12 @@ def _series_fields(ax, ay, N, m, K):
             break
         nonasym.append((c, int(later[0])))
         c *= 2
-    sub = lcp_series(ax, ay, N, K + 1)
+    sub = reference_lcp_series(ax, ay, N, K + 1)
     return {
         "max_lcp": (int(series.max()), int(np.argmax(series))),
         "proximal": (int(hit[0]), int(series[hit[0]])) if hit.size else None,
-        "nonasymptotic": nonasym,
+        # with no checkpoint (N < m) there is no evidence
+        "nonasymptotic": nonasym or None,
         "subject": (int(sub.max()), int(np.argmax(sub))),
     }
 
@@ -198,7 +222,7 @@ def _bits(word):
 
 
 class TestRunsAgainstSeries:
-    """classify_pair reads mismatch runs; lcp_series is the reference."""
+    """classify_pair reads mismatch runs; reference_lcp_series is the reference."""
 
     # raw arrays exactly N + max(m+1, K+1) long, the own subject's compare
     @pytest.mark.parametrize("N,m,K", [
@@ -249,7 +273,7 @@ class TestRunsAgainstSeries:
         k_max = max(r.K for r in rep.pairs)
         base = sturmian_stream(SQRT2_4).array(N + max_shift + k_max + 1)
         for r in rep.pairs:
-            want = lcp_series(base[r.i:], base[r.j:], N, r.K + 1).max()
+            want = reference_lcp_series(base[r.i:], base[r.j:], N, r.K + 1).max()
             assert r.max_lcp == want
             assert r.ok == (want < r.K)
             assert r.verdict == VERDICT_DISTAL
@@ -334,6 +358,63 @@ class TestCertificates:
             certified_b_distality("010", "0100")
 
 
+def _counted_runs(monkeypatch):
+    """Patch _LcpRuns to record (N, cap) of every compare."""
+    calls = []
+
+    class Counted(chaoscan._LcpRuns):
+        def __init__(self, *args):
+            calls.append(args[2:])
+            super().__init__(*args)
+
+    monkeypatch.setattr(chaoscan, "_LcpRuns", Counted)
+    return calls
+
+
+class TestSubjectMemo:
+    def test_subject_compared_once_across_calls(self, monkeypatch):
+        # an x-pair is not its certificate's subject (the b-pair is)
+        cert = certified_b_distality("000", "111")
+        x, y = x_stream("000"), x_stream("111")
+        calls = _counted_runs(monkeypatch)
+        first = classify_pair(x, y, 1000, 10, certificate=cert)
+        second = classify_pair(x, y, 1000, 10, certificate=cert)
+        assert calls == [(1000, 11), (1000, cert.K + 1), (1000, 11)]
+        assert verdict_record(first) == verdict_record(second)
+
+    def test_memo_is_keyed_by_horizon(self, monkeypatch):
+        # the subject agrees on 16 symbols at shift 700 and nowhere else
+        K, length = 20, 1100
+        ax = np.zeros(length, dtype=np.uint8)
+        ay = np.ones(length, dtype=np.uint8)
+        ay[700:716] = 0
+        cert = DistalityCertificate(
+            K=K, delta=QuadSurd(Fraction(1, 3)), angle=SQRT2_4, subject="pair",
+            subject_streams=(ax, ay),
+        )
+        pair = (ax.copy(), ay.copy())
+        short = classify_pair(*pair, 500, 4, certificate=cert).bound_check
+        calls = _counted_runs(monkeypatch)
+        long = classify_pair(*pair, 1000, 4, certificate=cert).bound_check
+        assert calls == [(1000, 5), (1000, K + 1)]
+        assert (short["subject_max_lcp"], short["subject_max_at"]) == (0, 0)
+        assert (long["subject_max_lcp"], long["subject_max_at"]) == (16, 700)
+        fresh = replace(cert)
+        assert classify_pair(*pair, 1000, 4, certificate=fresh).bound_check == long
+        assert sorted(cert._subject_peaks) == [500, 1000]
+
+    def test_certificate_is_frozen(self):
+        cert = certified_b_distality("000", "111")
+        with pytest.raises(FrozenInstanceError):
+            cert.K = 9
+        with pytest.raises(FrozenInstanceError):
+            cert.subject_streams = None
+        classify_pair(x_stream("000"), x_stream("111"), 100, 10, certificate=cert)
+        # the kept subject result is no part of the value
+        assert replace(cert) == cert
+        assert "_subject_peaks" not in repr(cert)
+
+
 class TestScrambledScan:
     def test_family_triple(self):
         rep = scrambled_scan(
@@ -364,19 +445,15 @@ class TestScrambledScan:
         # x-pair and b-pair share one certificate whose subject is the
         # b-pair: six scans in all (one per pair, the subject's included),
         # and records stay in pair order
-        calls = []
+        def certs():
+            # a fresh certificate, so no subject result is kept from before
+            cert = certified_b_distality("000", "111")
+            return {("x:000", "x:111"): cert, ("b:000", "b:111"): cert}
 
-        class Counted(chaoscan._LcpRuns):
-            def __init__(self, *args):
-                calls.append(args[2:])
-                super().__init__(*args)
-
-        cert = certified_b_distality("000", "111")
         points = [x_stream("000"), x_stream("111"), b_stream("000"), b_stream("111")]
-        certs = {("x:000", "x:111"): cert, ("b:000", "b:111"): cert}
-        want = scrambled_scan(points, 1000, 10, certificates=certs)
-        monkeypatch.setattr(chaoscan, "_LcpRuns", Counted)
-        got = scrambled_scan(points, 1000, 10, certificates=certs)
+        want = scrambled_scan(points, 1000, 10, certificates=certs())
+        calls = _counted_runs(monkeypatch)
+        got = scrambled_scan(points, 1000, 10, certificates=certs())
         assert len(calls) == 6
         assert [verdict_record(pv) for pv in got.records] == [
             verdict_record(pv) for pv in want.records

@@ -1,5 +1,6 @@
 """End-to-end CLI tests via subprocess: grammar, formats, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -101,6 +102,11 @@ class TestDiamondCmd:
         assert p.returncode == 2
         assert "insufficient horizon" in p.stdout
 
+    def test_factor_len_range_rejected(self):
+        p = run_cli("diamond", "000", "--factor-len", "5..20")
+        assert p.returncode == 2
+        assert p.stderr == "error: diamond takes one factor length, not '5..20'\n"
+
     def test_starved_tail_fails_loudly(self):
         # A well-defined but undersampled scan is a fail, not an
         # insufficiency: the tail holds 30-words, just not enough of them.
@@ -149,6 +155,36 @@ class TestPairCmd:
             "3,0,1",
             "4,1,2",
         ]
+
+    def test_csv_certified_b_pair(self):
+        # csv prints the series alone; the certificate changes no byte
+        p = run_cli(
+            "pair", "b:000", "b:111", "--format", "csv",
+            "--horizon", "2000", "--resolution", "10",
+        )
+        assert p.returncode == 0
+        assert p.stdout.splitlines()[:4] == [
+            "n,lcp,dist_exponent", "0,0,1", "1,3,4", "2,2,3",
+        ]
+        assert hashlib.sha256(p.stdout.encode()).hexdigest() == (
+            "d0d700cace29028367a120b9eb4d6ce2516a4a57b330952ed9d2cdcd904024ad"
+        )
+
+    def test_csv_aliasing_codes_rejected(self):
+        p = run_cli("pair", "b:010", "b:0100", "--format", "csv", "--horizon", "5")
+        assert p.returncode == 2
+        assert p.stderr.startswith("error: codes 010 and 0100 alias")
+        assert p.stdout == ""
+
+    def test_no_checkpoint_is_not_ly(self):
+        # N = 10 < m = 30 leaves no checkpoint, so no non-asymptotic
+        # evidence: two identical streams are asymptotic, not LY
+        p = run_cli("pair", "b:000", "b:000", "--horizon", "10")
+        assert p.returncode == 0
+        rec = json.loads(p.stdout)
+        assert rec["verdict"] == "asymptotic-candidate"
+        assert rec["nonasymptotic"] is None
+        assert rec["proximal"] == {"n": 0, "lcp": 31}
 
     def test_text_format(self):
         p = run_cli(
@@ -348,6 +384,24 @@ class TestDendriteCmd:
         assert p.returncode == 3
         assert "  isolated: 00111110" in p.stdout.splitlines()
 
+    def test_options_before_check_rejected(self):
+        # the group takes no options; given there, the subcommand's
+        # defaults used to replace them and the default codes were checked
+        p = run_cli("dendrite", "--codes-inline", "0101,1110", "check")
+        assert p.returncode == 2
+        assert p.stdout == ""
+        after = run_cli("dendrite", "check", "--codes-inline", "0101,1110")
+        assert after.returncode == 3
+        assert "isolated: 6" in after.stdout.splitlines()
+
+    def test_check_factor_len_range_rejected(self):
+        p = run_cli("dendrite", "check", "--factor-len", "3..4")
+        assert p.returncode == 2
+        assert "takes one factor length" in p.stderr
+        one = run_cli("dendrite", "check", "--factor-len", "4", "--language", "full")
+        assert one.returncode == 0
+        assert one.stdout.splitlines()[0] == "accepted words of length 4: 16"
+
 
 class TestPlumbing:
     def test_out_flag_writes_file(self, tmp_path):
@@ -369,6 +423,13 @@ class TestPlumbing:
             "--config", str(cfg), "--horizon", "2",
         )
         assert len(p2.stdout.splitlines()) == 4  # flag wins over config
+
+    def test_codes_inline_from_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("codes-inline=000\nfactor-len=8\nhorizon=4000\n")
+        p = run_cli("dendrite", "check", "--config", str(cfg))
+        assert p.returncode == 3
+        assert "  isolated: 00111110" in p.stdout.splitlines()
 
     def test_codes_file(self, tmp_path):
         codes = tmp_path / "codes.txt"
