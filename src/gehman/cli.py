@@ -16,6 +16,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from gehman.chaoscan import (
     VERDICT_LY,
@@ -208,13 +209,16 @@ class _Run:
             raise SpecError("horizon and resolution must be positive")
         return n, m
 
-    def codes(self) -> list[str]:
+    def codes(
+        self, default: Callable[[], list[str]] = lambda: list(DEFAULT_CODES)
+    ) -> list[str]:
+        """Codes from --codes-inline, else the --codes file, else default()."""
         inline = self.opt("codes_inline", None)
         if inline is not None:
             names = [c.strip() for c in inline.split(",") if c.strip()]
         else:
             path = self.opt("codes", None)
-            names = _read_codes_file(path) if path else list(DEFAULT_CODES)
+            names = _read_codes_file(path) if path else default()
         if not names:
             raise SpecError("empty code list")
         return names
@@ -401,7 +405,7 @@ def cmd_scan(run: _Run) -> int:
 def cmd_omega(run: _Run) -> int:
     fmt = run.fmt("csv", ("csv", "text"))
     n_values = _factor_range(run.opt("factor_len", "5..20", str))
-    horizon = run.opt("horizon", DEFAULT_N, int)
+    horizon, _ = run.scan_params()
     report = omega_scrambled_check(run.args.s, run.args.t, n_values, horizon=horizon)
     verdict = "pass" if report.passed else "fail"
     if fmt == "csv":
@@ -460,11 +464,7 @@ def cmd_sturmian_check(run: _Run) -> int:
 def cmd_sclosed_check(run: _Run) -> int:
     depth = run.opt("depth", 10, int)
     horizon = run.opt("horizon", QUICK_N, int)
-    inline = run.opt("codes_inline", None)
-    if inline:
-        codes = [c.strip() for c in inline.split(",") if c.strip()]
-    else:
-        codes = nested_limit_codes(depth)
+    codes = run.codes(lambda: nested_limit_codes(depth))
     report = sclosed_limit_check(codes, horizon=horizon)
     lines = [f"limit: {report.codes[-1]}"]
     lines.extend(

@@ -324,21 +324,36 @@ def dist(x: WordLike, y: WordLike, cap: int) -> DistBound:
 def _packed_windows(arr: np.ndarray, n: int) -> np.ndarray:
     if not 1 <= n <= 64:
         raise ValueError("factor length must be in 1..64 (bit-packed)")
-    length = arr.shape[0] - n + 1
-    if length <= 0:
+    size = arr.shape[0]
+    if size < n:
         return np.empty(0, dtype=np.uint64)
-    # One uint64 buffer, updated in place; the uint8 slices are widened
-    # by the ufunc's own buffering, not as full-size temporaries.
-    w = arr[:length].astype(np.uint64)
-    one = np.uint64(1)
-    for j in range(1, n):
-        w <<= one
-        w |= arr[j:j + length]
-    return w
+    # Windows double in length: w_{k+s}[i] = (w_k[i] << s) | w_k[i+s]
+    # with s = min(k, n-k).  For s < k the two halves overlap, and the
+    # overlapping bits agree, so the OR is exact.  Two buffers take
+    # turns; w_k is valid on its first size-k+1 entries.
+    cur = arr.astype(np.uint64)
+    nxt = np.empty_like(cur)
+    k = 1
+    while k < n:
+        s = min(k, n - k)
+        m = size - k - s + 1
+        np.left_shift(cur[:m], np.uint64(s), out=nxt[:m])
+        np.bitwise_or(nxt[:m], cur[s:s + m], out=nxt[:m])
+        cur, nxt = nxt, cur
+        k += s
+    return cur[:size - n + 1]
 
 
-def _unpack_word(value: int, n: int) -> str:
-    return format(value, f"0{n}b")
+def _unpack_words(values: np.ndarray, n: int) -> list[str]:
+    """Packed length-n windows as 0/1 text words, decoded in one pass.
+
+    The big-endian bytes of each value unpack to its 64 bits, high bit
+    first; the last n, as UCS-4 code points, are one numpy U{n} string.
+    """
+    bits = np.unpackbits(values.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+    chars = bits[:, 64 - n:].astype(np.uint32)
+    chars += ord("0")
+    return chars.view(f"U{n}").ravel().tolist()
 
 
 class _Spectrum(NamedTuple):
@@ -354,6 +369,13 @@ class _Spectrum(NamedTuple):
     tail: np.ndarray
 
 
+def _run_starts(v: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal entries of v."""
+    edge = np.ones(v.shape, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=edge[1:])
+    return np.flatnonzero(edge)
+
+
 def _spectrum_for(x: WordLike, n: int, horizon: int, tail_start: int) -> _Spectrum:
     """Window spectrum of symbols tail_start+1..horizon at length >= n.
 
@@ -367,7 +389,10 @@ def _spectrum_for(x: WordLike, n: int, horizon: int, tail_start: int) -> _Spectr
         arr = _bits_for(x, horizon)[tail_start:]
         if spec is not None and n > spec.n_max:
             n = max(n, min(2 * spec.n_max, 64, arr.shape[0]))
-        values, counts = np.unique(_packed_windows(arr, n), return_counts=True)
+        w = _packed_windows(arr, n)
+        w.sort()  # in place: w is a fresh buffer
+        starts = _run_starts(w)
+        values, counts = w[starts], np.diff(starts, append=w.size)
         tail = arr[max(arr.shape[0] - n + 1, 0):].copy()
         spec = memo[horizon, tail_start] = _Spectrum(n, values, counts, tail)
     return spec
@@ -381,9 +406,7 @@ def _counts_at(spec: _Spectrum, n: int) -> tuple[np.ndarray, np.ndarray]:
     are counted in exactly.
     """
     pref = spec.values >> np.uint64(spec.n_max - n)
-    edge = np.ones(pref.shape, dtype=bool)
-    edge[1:] = pref[1:] != pref[:-1]
-    starts = np.flatnonzero(edge)
+    starts = _run_starts(pref)
     values = pref[starts]
     counts = np.add.reduceat(spec.counts, starts) if starts.size else spec.counts.copy()
     extra: Counter = Counter()
@@ -409,7 +432,7 @@ def factors(x: WordLike, n: int, horizon: int) -> set[str]:
     if horizon < n:
         raise ValueError("horizon must be at least the factor length")
     values, _ = _counts_at(_spectrum_for(x, n, horizon, 0), n)
-    return {_unpack_word(v, n) for v in values.tolist()}
+    return set(_unpack_words(values, n))
 
 
 def recurrent_factors(
@@ -434,7 +457,7 @@ def recurrent_factors(
     if tail_start + n > horizon:
         raise ValueError("insufficient horizon for the requested tail window")
     values, counts = _counts_at(_spectrum_for(x, n, horizon, tail_start), n)
-    return {_unpack_word(v, n) for v in values[counts >= min_count].tolist()}
+    return set(_unpack_words(values[counts >= min_count], n))
 
 
 def factor_count_profile(x: WordLike, n_max: int, horizon: int) -> list[int]:

@@ -163,8 +163,8 @@ def crossover_split(
         w,
         _factor_tables(a, n, source_horizon),
         _factor_tables(b, n, source_horizon),
-        a.prefix(n),
-        b.prefix(n),
+        a.word(n),
+        b.word(n),
     )
 
 
@@ -177,20 +177,19 @@ def _classify_word(
     w: str,
     a_tables: dict[int, set[str]],
     b_tables: dict[int, set[str]],
-    a_prefix: bytes,
-    b_prefix: bytes,
+    a_word: str,
+    b_word: str,
 ) -> str | None:
     n = len(w)
-    wb = bytes(int(c) for c in w)
     if w in a_tables[n]:
         return "a-side"
     if w in b_tables[n]:
         return "b-side"
     for cut in range(1, n):
         u, v = w[:cut], w[cut:]
-        if u in a_tables[cut] and wb[cut:] == b_prefix[: n - cut]:
+        if u in a_tables[cut] and b_word.startswith(v):
             return "crossover-ab"
-        if u in b_tables[cut] and wb[cut:] == a_prefix[: n - cut]:
+        if u in b_tables[cut] and a_word.startswith(v):
             return "crossover-ba"
     return None
 
@@ -227,12 +226,12 @@ def omega_upper_check(
     words = recurrent_factors(subject, n, horizon, tail_start, min_count)
     a_tables = _factor_tables(a, n, source_horizon)
     b_tables = _factor_tables(b, n, source_horizon)
-    a_prefix = a.prefix(n)
-    b_prefix = b.prefix(n)
+    a_word = a.word(n)
+    b_word = b.word(n)
     counts = {"a-side": 0, "b-side": 0, "crossover-ab": 0, "crossover-ba": 0}
     violations = []
     for w in sorted(words):
-        case = _classify_word(w, a_tables, b_tables, a_prefix, b_prefix)
+        case = _classify_word(w, a_tables, b_tables, a_word, b_word)
         if case is None:
             violations.append(w)
         else:

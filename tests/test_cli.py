@@ -271,6 +271,22 @@ class TestOmegaCmd:
     def test_identical_codes_rejected(self):
         assert run_cli("omega", "000", "000").returncode == 2
 
+    def test_quick_sets_the_horizon(self):
+        p = run_cli("omega", "000", "111", "--factor-len", "8..10", "--quick")
+        q = run_cli(
+            "omega", "000", "111", "--factor-len", "8..10",
+            "--horizon", "100000",
+        )
+        assert p.returncode == q.returncode == 0
+        assert p.stdout == q.stdout
+
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_nonpositive_horizon_is_usage_error(self, horizon):
+        p = run_cli("omega", "000", "111", "--horizon", horizon)
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == "error: horizon and resolution must be positive\n"
+
     def test_insufficient_horizon_note(self):
         p = run_cli(
             "omega", "000", "111", "--factor-len", "70",
@@ -320,6 +336,18 @@ class TestSclosedCmd:
         assert lines[0] == "limit: 0001"
         assert lines[1] == "k=1 code=1 lcp=3"
         assert lines[-1] == "summary: pass"
+
+    def test_codes_file(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        path.write_text("1\n01  # comment\n001\n\n0001\n", encoding="ascii")
+        p = run_cli("sclosed-check", "--codes", str(path), "--horizon", "10000")
+        q = run_cli(
+            "sclosed-check", "--codes-inline", "1,01,001,0001",
+            "--horizon", "10000",
+        )
+        assert p.returncode == q.returncode == 0
+        assert p.stdout == q.stdout
+        assert p.stdout.splitlines()[0] == "limit: 0001"
 
     def test_nested_family_fails(self):
         p = run_cli("sclosed-check", "--horizon", "100000")

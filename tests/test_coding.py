@@ -19,6 +19,7 @@ from gehman.coding import (
     AtomProfile,
     CutPointCollision,
     _packed_windows,
+    _unpack_words,
     PeriodicStream,
     RotationCoding,
     WordStream,
@@ -322,14 +323,33 @@ class TestWordMachinery:
         a = sturmian_stream(SQRT2_4)
         assert factors(a, 6, 300) <= factors(a, 6, 3000)
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64])
-    @given(word=st.text(alphabet="01", max_size=150))
-    def test_packed_windows_against_int(self, n, word):
+    @pytest.mark.parametrize("n", range(1, 65))
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_packed_windows_against_int(self, n, data):
+        size = data.draw(
+            st.sampled_from([0, n - 1, n, n + 1]) | st.integers(0, 2 * n + 40)
+        )
+        word = data.draw(st.text(alphabet="01", min_size=size, max_size=size))
         arr = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
         packed = _packed_windows(arr, n)
         assert packed.dtype == np.uint64
         want = [int(word[i:i + n], 2) for i in range(len(word) - n + 1)]
         assert [int(v) for v in packed] == want  # empty when len < n
+
+    @given(st.integers(1, 64), st.data())
+    def test_unpack_words_against_format(self, n, data):
+        ints = data.draw(st.lists(st.integers(0, 2**n - 1), max_size=20))
+        values = np.array(ints, dtype=np.uint64)
+        assert _unpack_words(values, n) == [format(v, f"0{n}b") for v in ints]
+
+    def test_unpack_words_edges(self):
+        top = [2**63, 2**64 - 1, 2**63 + 5, 0]
+        values = np.array(top, dtype=np.uint64)
+        assert _unpack_words(values, 64) == [format(v, "064b") for v in top]
+        assert _unpack_words(np.empty(0, dtype=np.uint64), 64) == []
+        assert _unpack_words(np.empty(0, dtype=np.uint64), 1) == []
+        assert _unpack_words(np.array([0, 1], dtype=np.uint64), 1) == ["0", "1"]
 
     @given(
         st.text(alphabet="01", min_size=2, max_size=200),

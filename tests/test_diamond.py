@@ -159,6 +159,30 @@ class TestOmegaChecks:
         assert rep.status == "fail"
         assert "0100" in rep.violations
 
+    # Frozen from the byte-compare classifier; `gehman diamond CODE
+    # --factor-len 20` prints these in its "cases:" line.
+    @pytest.mark.parametrize(
+        "code, counts",
+        [
+            ("000", (40, 40, 287, 256)),
+            ("001", (40, 40, 332, 261)),
+            ("010", (40, 40, 317, 237)),
+            ("011", (40, 40, 298, 219)),
+            ("100", (40, 40, 262, 205)),
+            ("101", (40, 40, 278, 189)),
+            ("110", (21, 40, 144, 207)),
+            ("111", (40, 40, 249, 208)),
+        ],
+    )
+    def test_default_code_case_counts(self, code, counts):
+        rep = omega_upper_check(
+            a_stream(code), b_stream(code), 20, 1_000_000,
+            source_horizon=10_000, subject=x_stream(code),
+        )
+        assert rep.passed
+        names = ("a-side", "b-side", "crossover-ab", "crossover-ba")
+        assert rep.case_counts == dict(zip(names, counts))
+
     def test_crossover_split_cases(self):
         a, b = PeriodicStream("0"), PeriodicStream("1")
         assert crossover_split("0000", a, b, 100) == "a-side"

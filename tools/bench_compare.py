@@ -64,6 +64,7 @@ L5_COMMANDS = [
     ["omega", "000", "111"],
     ["diamond", "000"],
     ["pair", "x:000", "a:000"],
+    ["dendrite", "check"],
     ["gen", "pt:1/8@2000000000-1414213562*sqrt(2)", "150000"],
     ["gen", "A:1/3+1/4*sqrt(2)", "1000000"],
 ]
