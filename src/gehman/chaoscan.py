@@ -50,7 +50,11 @@ def _label(x: BitsLike, fallback: str) -> str:
 
 
 def lcp_series(x: BitsLike, y: BitsLike, N: int, cap: int) -> np.ndarray:
-    """series[n] = lcp(shift(x, n), shift(y, n), cap) for n = 0..N."""
+    """series[n] = lcp(shift(x, n), shift(y, n), cap) for n = 0..N.
+
+    Built from the mismatch positions of the same single compare that
+    ``classify_pair`` reads as packed agreement bits (``_LcpRuns``).
+    """
     return _LcpRuns(x, y, N, cap).series(cap)
 
 
@@ -107,17 +111,34 @@ def _own_subject(certificate, x, y) -> bool:
 
 
 class _LcpRuns:
-    """``lcp_series(x, y, N, c)`` for every c <= cap, kept as its runs.
+    """``lcp_series(x, y, N, c)`` for every c <= cap, as packed agreement bits.
 
-    The one compare of two streams in this module.  ``ends`` lists the
-    mismatch positions among the first N + cap symbols, then N + cap, up
-    to the first one >= N.  The series restarts after each mismatch: run
-    k covers the shifts ends[k-1]+1 .. ends[k] (from 0 for k = 0) and
-    falls by one per shift from min(gaps[k], c), where gaps[k] = ends[k]
-    - ends[k-1] - 1.  So a run's first shift carries its maximum, and the
-    runs that start at n <= N, which are these, give the max, the first
-    argmax and the first shift with lcp >= v without building the
-    series; ``series`` builds it for ``lcp_series``.
+    The one compare of two streams in this module: one elementwise
+    compare of the first N + cap symbols, packed little-endian into
+    uint64 words, with the bits from N + cap on (at least one) read as
+    mismatches.  R_L has bit i set iff symbols i..i+L-1 agree, so for
+    L <= c the series at cap c is >= L at shift n <= N exactly where R_L
+    has bit n set.  R_1 is the complement of the packed mismatches; R_L
+    for L > 1 is R_P & (R_P >> (L - P)), P the largest power of two
+    below L, since the windows of length P at i and at i + L - P overlap
+    and cover i..i+L-1.  A shift by 64 or more drops whole words; what
+    is left moves bits across one word edge.
+
+    Each query reads these words, and none lists the mismatch positions:
+
+    * The first set bit n <= N of R_v is the first shift with lcp >= v.
+      It starts a run of agreement: bit n - 1 of R_v is clear and bit n
+      is set, so only symbol n - 1 can disagree.  Its lcp is read off
+      the cap symbols from n.
+    * The max at cap is the largest L <= cap whose R_L has such a bit:
+      R_cap itself, or else found by doubling L while it has one and
+      then by halving steps.  Its first argmax is that bit.
+    * A shift has lcp <= 2 at a cap > 2 iff its R_3 bit is clear.
+
+    Every R_L and its first bit are kept, so the queries of one pair and
+    the two caps of an own-subject scan share them, and an R_L with no
+    bit at or below N answers every longer L.  ``series`` lists the
+    mismatches of the same compare for ``lcp_series``.
     """
 
     def __init__(self, x: BitsLike, y: BitsLike, N: int, cap: int):
@@ -128,49 +149,112 @@ class _LcpRuns:
         ay = _bits_for(y, length)
         if min(ax.shape[0], ay.shape[0]) < length:
             raise ValueError(f"input too short: fewer than {length} symbols")
-        neq = np.empty(length + 1, dtype=bool)
+        neq = np.empty(64 * (length // 64 + 1), dtype=bool)
         np.not_equal(ax, ay, out=neq[:length])
-        neq[length] = True
-        ends = np.flatnonzero(neq)
-        ends = ends[:int(np.searchsorted(ends, N)) + 1]
-        gaps = np.empty_like(ends)
-        gaps[0] = ends[0]
-        np.subtract(ends[1:], ends[:-1], out=gaps[1:])
-        gaps[1:] -= 1
-        self.N, self.ends, self.gaps = N, ends, gaps
+        neq[length:] = True
+        self.N, self._neq = N, neq
+        self._words = N // 64 + 1  # the words that hold shifts 0..N
+        self._miss = np.packbits(neq, bitorder="little").view("<u8")
+        self._agree = {1: ~self._miss}
+        self._first: dict[int, int | None] = {}
+        # R_L for L <= _some_to has a bit <= N, for L >= _none_from none
+        self._some_to, self._none_from = 0, length + 1
 
-    def _start(self, k: int) -> int:
-        return int(self.ends[k] - self.gaps[k])
+    def _r(self, L: int) -> np.ndarray:
+        """R_L as words; a word past the end of the array is zero."""
+        R = self._agree.get(L)
+        if R is None:
+            P = 1 << ((L - 1).bit_length() - 1)
+            base = self._r(P)
+            q, r = divmod(L - P, 64)
+            ahead = base[q:]
+            if r:
+                ahead = ahead >> r
+                ahead[:-1] |= base[q + 1:] << (64 - r)
+            R = self._agree[L] = ahead & base[:ahead.size]
+        return R
+
+    def _first_set(self, L: int) -> int | None:
+        """First shift n <= N with lcp >= L (at a cap >= L), or None."""
+        if L >= self._none_from:
+            return None
+        if L not in self._first:
+            R = self._r(L)[:self._words]
+            k = int(R.astype(bool).argmax())
+            w = int(R[k])
+            n = 64 * k + _lowest_bit(w) if w else None
+            if n is None or n > self.N:
+                n, self._none_from = None, L
+            else:
+                self._some_to = max(self._some_to, L)
+            self._first[L] = n
+        return self._first[L]
+
+    def _reaches(self, L: int) -> bool:
+        """Whether some shift n <= N has lcp >= L."""
+        return L <= self._some_to or self._first_set(L) is not None
 
     def series(self, cap: int) -> np.ndarray:
-        """The series at cap, as int64: each end repeated over its run."""
-        nxt = np.repeat(self.ends, self.gaps + 1)[:self.N + 1].astype(np.int64, copy=False)
+        """The series at cap, as int64: each mismatch repeated over its run."""
+        ends = np.flatnonzero(self._neq)
+        ends = ends[:int(np.searchsorted(ends, self.N)) + 1]
+        nxt = np.repeat(ends, np.diff(ends, prepend=-1))[:self.N + 1]
+        nxt = nxt.astype(np.int64, copy=False)
         nxt -= np.arange(self.N + 1, dtype=np.int64)
         return np.minimum(nxt, cap, out=nxt)
 
     def peak(self, cap: int) -> tuple[int, int]:
         """Max of the series at cap and the first shift that takes it."""
-        top = min(int(self.gaps.max()), cap)
-        return top, self._start(int(np.argmax(self.gaps >= top)))
+        top = cap
+        if not self._reaches(cap):
+            top, L = 0, 1
+            while self._reaches(L):
+                top, L = L, 2 * L
+            step = top // 2
+            while step:
+                if self._reaches(top + step):
+                    top += step
+                step //= 2
+        return top, self._first_set(top) if top else 0
 
     def first_reaching(self, v: int, cap: int) -> tuple[int, int] | None:
         """First (n, lcp) with lcp >= v at cap (v <= cap), or None."""
-        k = int(np.argmax(self.gaps >= v))
-        if self.gaps[k] < v:
+        n = self._first_set(v)
+        if n is None:
             return None
-        return self._start(k), min(int(self.gaps[k]), cap)
+        run = self._neq[n:n + cap]
+        k = int(run.argmax())
+        return n, k if run[k] else cap
 
-    def first_low(self, c: int, cap: int) -> int | None:
-        """First n in [c, N] with lcp <= 2 at cap (c <= N), or None.
+    def first_low(self, checkpoints: list[int], cap: int) -> list[int | None]:
+        """First n in [c, N] with lcp <= 2 at cap, for each c <= N, or None.
 
-        Before the first mismatch e >= c the series is min(e - n, cap),
-        so the answer is c when cap <= 2 and max(c, e - 2) otherwise.
+        At a cap > 2 that is the first clear bit of R_3 at or after c,
+        which is max(c, e - 2) for the first mismatch e >= c: the lowest
+        set bit of the packed mismatches in c's word above c, or else in
+        the next word that has one.  Both are gathered for all c at
+        once, and an all-ones word past N + 2 ends the search.
         """
         if cap <= 2:
-            return c
-        e = int(self.ends[np.searchsorted(self.ends, c)])
-        n = max(c, e - 2)
-        return n if n <= self.N else None
+            return list(checkpoints)
+        miss = np.append(self._miss[:(self.N + 2) // 64 + 1], ~np.uint64(0))
+        cs = np.array(checkpoints, dtype=np.uint64)
+        at = cs >> 6
+        heads = (miss[at] >> (cs & 63)).tolist()
+        later = np.flatnonzero(miss)
+        nxt = later[np.searchsorted(later, at, side="right")]
+        out = []
+        for c, head, k, w in zip(checkpoints, heads, nxt.tolist(),
+                                 miss[nxt].tolist()):
+            e = c + _lowest_bit(head) if head else 64 * k + _lowest_bit(w)
+            n = max(c, e - 2)
+            out.append(n if n <= self.N else None)
+        return out
+
+
+def _lowest_bit(w: int) -> int:
+    """Index of the lowest set bit of w > 0."""
+    return (w & -w).bit_length() - 1
 
 
 def classify_pair(
@@ -191,12 +275,16 @@ def classify_pair(
     pair scan and the certificate's subject scan are checked against
     the bound and reported.
 
-    Every field is read off the mismatch positions of one compare of
-    the two streams (``_LcpRuns``); the per-shift series is never built.
-    When the subject streams are the scanned pair itself, one compare
-    over N + max(m+1, K+1) symbols serves both caps.  The subject's
-    result is kept on the certificate by N, so the subject is compared
-    once for all the pairs classified under one certificate.
+    Every field is a bit query on the packed agreement words R_L of one
+    compare of the two streams (``_LcpRuns``): max and argmax from the
+    largest L <= m+1 whose R_L has a bit at a shift <= N, the proximal
+    shift from the first such bit of R_m, and each checkpoint's shift
+    from the first clear bit of R_3 at or after it.  Neither the series
+    nor the list of mismatches is built.  When the subject streams are
+    the scanned pair itself, one compare over N + max(m+1, K+1) symbols
+    serves both caps and shares its R_L.  The subject's result is kept
+    on the certificate by N, so the subject is compared once for all
+    the pairs classified under one certificate.
     """
     if N < 1 or m < 1:
         raise ValueError("need N >= 1 and m >= 1")
@@ -205,7 +293,8 @@ def classify_pair(
     runs = _LcpRuns(x, y, N, max(cap, certificate.K + 1) if own else cap)
     max_val, max_at = runs.peak(cap)
     proximal = runs.first_reaching(m, cap)
-    nonasym = [(c, runs.first_low(c, cap)) for c in _checkpoints(m, N)]
+    checkpoints = _checkpoints(m, N)
+    nonasym = list(zip(checkpoints, runs.first_low(checkpoints, cap)))
     if not nonasym or any(n is None for _, n in nonasym):
         nonasym = None
 

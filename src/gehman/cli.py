@@ -539,74 +539,94 @@ def cmd_dendrite(run: _Run) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+# Shared options by dest: flags and argparse keywords.
+_SHARED = {
+    "horizon": ("--horizon", dict(type=int, help="scan horizon N")),
+    "resolution": ("--resolution", dict(type=int, help="lcp resolution m")),
+    "factor_len": ("--factor-len", dict(help="factor length n, or a range lo..hi")),
+    "codes": ("--codes", dict(help="file with one code per line")),
+    "codes_inline": ("--codes-inline", dict(help="comma-separated codes")),
+    "fmt": ("--format", dict(choices=["text", "jsonl", "csv", "dot"])),
+    "quick": ("--quick", dict(action="store_true",
+                              help="quick-mode defaults (N=1e5, m=20)")),
+    "include_limits": ("--include-limits", dict(
+        action="store_true", help="add a- and b-streams to the point set")),
+    "out": ("--out", dict(help="write output to this file")),
+    "config": ("--config", dict(help="key=value config file")),
+}
+
+# The shared options each command reads (the dendrite subcommands by
+# their own names), besides --out and --config; argparse rejects the
+# others.  sturmian-check keeps --quick, which changes nothing there:
+# its defaults already are the quick values.
+_READS = {
+    "gen": (),
+    "diamond": ("horizon", "quick", "factor_len"),
+    "pair": ("horizon", "resolution", "quick", "fmt"),
+    "scan": ("horizon", "resolution", "quick", "fmt", "codes", "codes_inline",
+             "include_limits"),
+    "omega": ("horizon", "quick", "factor_len", "fmt"),
+    "sturmian-check": ("horizon", "resolution", "quick", "fmt"),
+    "sclosed-check": ("horizon", "codes", "codes_inline"),
+    "iterate": ("horizon", "codes", "codes_inline"),
+    "graph": ("horizon", "codes", "codes_inline", "fmt"),
+    "check": ("horizon", "codes", "codes_inline", "factor_len"),
+}
+
+
+def _command(sub, name: str, **kwargs) -> argparse.ArgumentParser:
+    sp = sub.add_parser(name, **kwargs)
+    for dest in (*_READS[name], "out", "config"):
+        flag, opts = _SHARED[dest]
+        sp.add_argument(flag, dest=dest, **opts)
+    return sp
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing does not change the parser, and
     # building it costs far more than a parse.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--horizon", type=int, help="scan horizon N")
-    common.add_argument("--resolution", type=int, help="lcp resolution m")
-    common.add_argument("--factor-len", dest="factor_len",
-                        help="factor length n, or a range lo..hi")
-    common.add_argument("--codes", help="file with one code per line")
-    common.add_argument("--codes-inline", dest="codes_inline",
-                        help="comma-separated codes")
-    common.add_argument("--format", dest="fmt",
-                        choices=["text", "jsonl", "csv", "dot"])
-    common.add_argument("--out", help="write output to this file")
-    common.add_argument("--quick", action="store_true",
-                        help="quick-mode defaults (N=1e5, m=20)")
-    common.add_argument("--include-limits", dest="include_limits",
-                        action="store_true",
-                        help="scan: add a- and b-streams to the point set")
-    common.add_argument("--config", help="key=value config file")
-
     p = argparse.ArgumentParser(prog="gehman", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("gen", parents=[common], help="print stream symbols")
+    sp = _command(sub, "gen", help="print stream symbols")
     sp.add_argument("spec", help="stream spec, e.g. x:000 or A:1/4*sqrt(2)")
     sp.add_argument("count", type=int, help="number of symbols")
 
-    sp = sub.add_parser("diamond", parents=[common],
-                        help="omega-limit inclusion checks for one code")
+    sp = _command(sub, "diamond", help="omega-limit inclusion checks for one code")
     sp.add_argument("code", help="family code, e.g. 000")
     sp.add_argument("--source-horizon", dest="source_horizon", type=int)
 
-    sp = sub.add_parser("pair", parents=[common], help="classify one pair")
+    sp = _command(sub, "pair", help="classify one pair")
     sp.add_argument("x", help="stream spec")
     sp.add_argument("y", help="stream spec")
 
-    sub.add_parser("scan", parents=[common],
-                   help="scrambled-set scan over family points")
+    _command(sub, "scan", help="scrambled-set scan over family points")
 
-    sp = sub.add_parser("omega", parents=[common],
-                        help="omega-scrambling surrogates for a code pair")
+    sp = _command(sub, "omega", help="omega-scrambling surrogates for a code pair")
     sp.add_argument("s", help="first code")
     sp.add_argument("t", help="second code")
 
-    sp = sub.add_parser("sturmian-check", parents=[common],
-                        help="no-Li-Yorke certificates for Sturmian shifts")
+    sp = _command(sub, "sturmian-check",
+                  help="no-Li-Yorke certificates for Sturmian shifts")
     sp.add_argument("--angle", help="rotation angle surd")
     sp.add_argument("--max-shift", dest="max_shift", type=int)
 
-    sp = sub.add_parser("sclosed-check", parents=[common],
-                        help="limit coherence along the nested code family")
+    sp = _command(sub, "sclosed-check",
+                  help="limit coherence along the nested code family")
     sp.add_argument("--depth", type=int)
 
-    # no common options here: the subcommand's defaults would overwrite them
+    # no shared options here: the subcommand's defaults would overwrite them
     sp = sub.add_parser("dendrite", help="dendrite tools")
     dsub = sp.add_subparsers(dest="dendrite_cmd", required=True)
-    dp = dsub.add_parser("iterate", parents=[common],
-                         help="orbit of a point literal")
+    dp = _command(dsub, "iterate", help="orbit of a point literal")
     dp.add_argument("point", help="root | branch:<w> | int:<w>:<t> | end:<spec>")
     dp.add_argument("--steps", type=int, help="cap for endpoint orbits")
     dp.add_argument("--language", choices=["family", "full"])
-    dp = dsub.add_parser("graph", parents=[common], help="emit DOT tree")
+    dp = _command(dsub, "graph", help="emit DOT tree")
     dp.add_argument("--depth", type=int)
     dp.add_argument("--language", choices=["family", "full"])
-    dp = dsub.add_parser("check", parents=[common],
-                         help="no-isolated-points and f-invariance checks")
+    dp = _command(dsub, "check", help="no-isolated-points and f-invariance checks")
     dp.add_argument("--ext", type=int)
     dp.add_argument("--language", choices=["family", "full"])
     return p

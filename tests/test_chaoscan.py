@@ -222,15 +222,19 @@ def _bits(word):
 
 
 class TestRunsAgainstSeries:
-    """classify_pair reads mismatch runs; reference_lcp_series is the reference."""
+    """classify_pair's bit queries against reference_lcp_series."""
 
-    # raw arrays exactly N + max(m+1, K+1) long, the own subject's compare
+    # raw arrays exactly N + max(m+1, K+1) long, the own subject's compare;
+    # N at and around a 64-symbol word, and caps whose windows shift by
+    # 64 or more
     @pytest.mark.parametrize("N,m,K", [
         (1, 1, 1), (1, 1, 6), (1, 4, 2), (9, 1, 3), (40, 1, 1),
         (40, 3, 9), (40, 9, 3), (64, 5, 5), (200, 2, 30),
+        (63, 5, 64), (64, 64, 65), (65, 2, 142), (128, 3, 65),
+        (128, 65, 142), (63, 70, 142),
     ])
     @pytest.mark.parametrize(
-        "pattern", ["equal", "complement", "last", "first", "alternate"]
+        "pattern", ["equal", "complement", "last", "first", "alternate", "sparse"]
     )
     def test_edge_patterns(self, N, m, K, pattern):
         length = N + max(m, K) + 1
@@ -244,13 +248,15 @@ class TestRunsAgainstSeries:
             ay[0] = 1
         elif pattern == "alternate":
             ay[::2] = 1
+        elif pattern == "sparse":  # runs of 96 agreements between mismatches
+            ay[::97] = 1
         _check_against_series(ax, ay, N, m, K)
 
     @given(st.data())
     def test_random_pairs(self, data):
-        N = data.draw(st.integers(1, 120))
+        N = data.draw(st.integers(1, 300))
         m = data.draw(st.integers(1, 12))
-        K = data.draw(st.integers(1, 16))
+        K = data.draw(st.integers(1, 150))
         length = N + max(m, K) + 1
         wx = data.draw(st.text("01", min_size=length, max_size=length))
         kind = data.draw(st.sampled_from(["random", "flips", "periodic"]))

@@ -500,3 +500,82 @@ class TestPlumbing:
             assert (code, got.out, got.err) == (
                 fresh.returncode, fresh.stdout, fresh.stderr
             ), args
+
+
+# One cheap invocation per command that its parser accepts, and the
+# value each shared option takes below.
+_BASES = {
+    "gen": ["gen", "x:000", "5"],
+    "diamond": ["diamond", "000", "--factor-len", "4", "--horizon", "20000"],
+    "pair": ["pair", "x:000", "a:000", "--horizon", "100", "--resolution", "5"],
+    "scan": ["scan", "--codes-inline", "000,111", "--horizon", "100",
+             "--resolution", "5"],
+    "omega": ["omega", "000", "111", "--factor-len", "5", "--horizon", "20000"],
+    "sturmian-check": ["sturmian-check", "--max-shift", "2", "--horizon", "100"],
+    "sclosed-check": ["sclosed-check", "--horizon", "100"],
+    "dendrite iterate": ["dendrite", "iterate", "root"],
+    "dendrite graph": ["dendrite", "graph", "--depth", "2"],
+    "dendrite check": ["dendrite", "check", "--factor-len", "3", "--horizon", "2000"],
+}
+_VALUES = {
+    "--horizon": ["--horizon", "100"],
+    "--resolution": ["--resolution", "7"],
+    "--factor-len": ["--factor-len", "5"],
+    "--codes": ["--codes", "codes.txt"],
+    "--codes-inline": ["--codes-inline", "000,111"],
+    "--format": ["--format", "text"],
+    "--quick": ["--quick"],
+    "--include-limits": ["--include-limits"],
+}
+# The shared options a command does not read; each used to be accepted
+# and ignored.
+_UNREAD = [
+    ("gen", opt) for opt in _VALUES
+] + [
+    ("diamond", "--resolution"), ("diamond", "--codes"),
+    ("diamond", "--codes-inline"), ("diamond", "--format"),
+    ("diamond", "--include-limits"),
+    ("pair", "--factor-len"), ("pair", "--codes"), ("pair", "--codes-inline"),
+    ("pair", "--include-limits"),
+    ("scan", "--factor-len"),
+    ("omega", "--resolution"), ("omega", "--codes"), ("omega", "--codes-inline"),
+    ("omega", "--include-limits"),
+    ("sturmian-check", "--factor-len"), ("sturmian-check", "--codes"),
+    ("sturmian-check", "--codes-inline"), ("sturmian-check", "--include-limits"),
+    ("sclosed-check", "--resolution"), ("sclosed-check", "--factor-len"),
+    ("sclosed-check", "--format"), ("sclosed-check", "--quick"),
+    ("sclosed-check", "--include-limits"),
+    ("dendrite iterate", "--resolution"), ("dendrite iterate", "--factor-len"),
+    ("dendrite iterate", "--format"), ("dendrite iterate", "--quick"),
+    ("dendrite iterate", "--include-limits"),
+    ("dendrite graph", "--resolution"), ("dendrite graph", "--factor-len"),
+    ("dendrite graph", "--quick"), ("dendrite graph", "--include-limits"),
+    ("dendrite check", "--resolution"), ("dendrite check", "--format"),
+    ("dendrite check", "--quick"), ("dendrite check", "--include-limits"),
+]
+
+
+class TestUnreadOptions:
+    @pytest.mark.parametrize("command", list(_BASES))
+    def test_base_call_is_accepted(self, command, capsys):
+        from gehman.cli import main
+
+        assert main(_BASES[command]) != 2
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,option", _UNREAD)
+    def test_unread_option_is_usage_error(self, command, option, capsys):
+        from gehman.cli import main
+
+        assert main(_BASES[command] + _VALUES[option]) == 2
+        assert f"unrecognized arguments: {_VALUES[option][0]}" in capsys.readouterr().err
+
+    def test_sturmian_check_keeps_quick(self, capsys):
+        # its defaults already are the quick values, so --quick changes nothing
+        from gehman.cli import main
+
+        base = ["sturmian-check", "--max-shift", "2"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        assert main(base + ["--quick"]) == 0
+        assert capsys.readouterr().out == plain
