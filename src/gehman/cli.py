@@ -151,100 +151,78 @@ def format_point(pt) -> str:
     raise TypeError(f"not a dendrite point: {pt!r}")
 
 
-def _read_config(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+def _lines(path: str):
+    """(line number, text) of each nonblank line of an ASCII file, with
+    ``#`` comments dropped."""
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise SpecError(f"{path}:{lineno}: expected key=value")
-            cfg[key.strip()] = value.strip()
-    return cfg
-
-
-def _read_codes_file(path: str) -> list[str]:
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
             if line:
-                out.append(line)
-    return out
+                yield lineno, line
 
 
-class _Run:
-    """Resolved options for one invocation: flag > config file > default."""
+def _config_tokens(path: str) -> list[str]:
+    """A config file's ``key=value`` lines as the flags ``--key=value``.
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    The keys are the long flag names.  A switch (``quick``,
+    ``include-limits``) takes a yes/no value and becomes the bare flag or
+    nothing.  One token per line keeps values such as ``-1/8`` whole.
+    """
+    tokens = []
+    for lineno, line in _lines(path):
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise SpecError(f"{path}:{lineno}: expected key=value")
+        if key == "config":
+            raise SpecError(f"{path}:{lineno}: a config file cannot name another")
+        if key not in _SWITCHES:
+            tokens.append(f"--{key}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(f"--{key}")
+        elif value.lower() not in ("0", "false", "no", "off", ""):
+            raise SpecError(f"{path}:{lineno}: {key} takes yes or no, not {value!r}")
+    return tokens
 
-    def opt(self, name: str, default, cast=None):
-        val = getattr(self.args, name, None)
-        if val is None:
-            raw = self.cfg.get(name.replace("_", "-"))
-            if raw is not None:
-                val = cast(raw) if cast else raw
-        if val is None:
-            val = default
-        return val
 
-    def flag(self, name: str) -> bool:
-        if getattr(self.args, name, False):
-            return True
-        raw = self.cfg.get(name.replace("_", "-"), "")
-        return raw.lower() in ("1", "true", "yes", "on")
+def _scan_params(args: argparse.Namespace) -> tuple[int, int]:
+    """Horizon and resolution; one left at None takes --quick's default."""
+    base_n, base_m = (QUICK_N, QUICK_M) if args.quick else (DEFAULT_N, DEFAULT_M)
+    n = base_n if args.horizon is None else args.horizon
+    m = getattr(args, "resolution", None)
+    m = base_m if m is None else m
+    if n < 1 or m < 1:
+        raise SpecError("horizon and resolution must be positive")
+    return n, m
 
-    def scan_params(self) -> tuple[int, int]:
-        if self.flag("quick"):
-            base_n, base_m = QUICK_N, QUICK_M
-        else:
-            base_n, base_m = DEFAULT_N, DEFAULT_M
-        n = self.opt("horizon", base_n, int)
-        m = self.opt("resolution", base_m, int)
-        if n < 1 or m < 1:
-            raise SpecError("horizon and resolution must be positive")
-        return n, m
 
-    def codes(
-        self, default: Callable[[], list[str]] = lambda: list(DEFAULT_CODES)
-    ) -> list[str]:
-        """Codes from --codes-inline, else the --codes file, else default()."""
-        inline = self.opt("codes_inline", None)
-        if inline is not None:
-            names = [c.strip() for c in inline.split(",") if c.strip()]
-        else:
-            path = self.opt("codes", None)
-            names = _read_codes_file(path) if path else default()
-        if not names:
-            raise SpecError("empty code list")
-        return names
+def _codes(
+    args: argparse.Namespace, default: Callable[[], list[str]] = lambda: list(DEFAULT_CODES)
+) -> list[str]:
+    """Codes from --codes-inline, else the --codes file, else default()."""
+    if args.codes_inline is not None:
+        names = [c.strip() for c in args.codes_inline.split(",") if c.strip()]
+    elif args.codes:
+        names = [line for _, line in _lines(args.codes)]
+    else:
+        names = default()
+    if not names:
+        raise SpecError("empty code list")
+    return names
 
-    def factor_len(self, default: int) -> int:
-        text = self.opt("factor_len", str(default))
-        lengths = _factor_range(text)
-        if len(lengths) != 1:
-            raise SpecError(f"{self.args.command} takes one factor length, not {text!r}")
-        return lengths[0]
 
-    def fmt(self, default: str, allowed: tuple[str, ...]) -> str:
-        f = self.opt("fmt", default)
-        if f not in allowed:
-            raise SpecError(
-                f"format {f!r} not supported here (allowed: {', '.join(allowed)})"
-            )
-        return f
+def _factor_len(args: argparse.Namespace) -> int:
+    lengths = _factor_range(args.factor_len)
+    if len(lengths) != 1:
+        raise SpecError(f"{args.name} takes one factor length, not {args.factor_len!r}")
+    return lengths[0]
 
-    def emit(self, text: str) -> None:
-        out = self.opt("out", None)
-        if out:
-            with open(out, "w", encoding="ascii", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _json_line(obj) -> str:
@@ -267,25 +245,24 @@ def _factor_range(text: str) -> list[int]:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_gen(run: _Run) -> int:
-    n = run.args.count
+def cmd_gen(args: argparse.Namespace) -> int:
+    n = args.count
     if n < 0:
         raise SpecError("symbol count must be nonnegative")
-    stream = parse_stream_spec(run.args.spec)
-    run.emit(stream.word(n) + "\n" if n else "")
+    stream = parse_stream_spec(args.spec)
+    _emit(args, stream.word(n) + "\n" if n else "")
     return EXIT_OK
 
 
-def cmd_diamond(run: _Run) -> int:
-    code = run.args.code
-    n = run.factor_len(20)
-    horizon, _ = run.scan_params()
-    source_horizon = run.opt("source_horizon", 10_000, int)
+def cmd_diamond(args: argparse.Namespace) -> int:
+    code = args.code
+    n = _factor_len(args)
+    horizon, _ = _scan_params(args)
     a = a_stream(code)
     b = b_stream(code)
     x = x_stream(code)
-    lower = omega_lower_check(a, b, n, horizon, source_horizon=source_horizon, subject=x)
-    upper = omega_upper_check(a, b, n, horizon, source_horizon=source_horizon, subject=x)
+    lower = omega_lower_check(a, b, n, horizon, source_horizon=args.source_horizon, subject=x)
+    upper = omega_upper_check(a, b, n, horizon, source_horizon=args.source_horizon, subject=x)
     lines = []
     for name, rep in (("lower", lower), ("upper", upper)):
         lines.append(
@@ -297,7 +274,7 @@ def cmd_diamond(run: _Run) -> int:
     if upper.case_counts:
         counts = " ".join(f"{k}={v}" for k, v in sorted(upper.case_counts.items()))
         lines.append(f"cases: {counts}")
-    run.emit("\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     if lower.status == "insufficient horizon" or upper.status == "insufficient horizon":
         return EXIT_USAGE
     return EXIT_OK if lower.passed and upper.passed else EXIT_VERIFY
@@ -317,21 +294,20 @@ def _auto_certificate(x_spec: str, y_spec: str):
     return certified_b_distality(kinds[0], kinds[1])
 
 
-def cmd_pair(run: _Run) -> int:
-    N, m = run.scan_params()
-    fmt = run.fmt("jsonl", ("jsonl", "csv", "text"))
-    x = parse_stream_spec(run.args.x)
-    y = parse_stream_spec(run.args.y)
+def cmd_pair(args: argparse.Namespace) -> int:
+    N, m = _scan_params(args)
+    x = parse_stream_spec(args.x)
+    y = parse_stream_spec(args.y)
     # the certificate is built for every format, so aliasing codes exit 2
-    cert = _auto_certificate(run.args.x, run.args.y)
-    if fmt == "csv":
+    cert = _auto_certificate(args.x, args.y)
+    if args.fmt == "csv":
         series = lcp_series(x, y, N, m + 1)
         rows = ["n,lcp,dist_exponent"]
         rows.extend(f"{n},{v},{v + 1}" for n, v in enumerate(series.tolist()))
-        run.emit("\n".join(rows) + "\n")
+        _emit(args, "\n".join(rows) + "\n")
         return EXIT_OK
     pv = classify_pair(x, y, N, m, certificate=cert)
-    if fmt == "text":
+    if args.fmt == "text":
         lines = [f"pair: {pv.x_label} | {pv.y_label}", f"verdict: {pv.verdict}"]
         lines.append(f"params: N={pv.N} m={pv.m}")
         if pv.proximal_evidence:
@@ -345,9 +321,9 @@ def cmd_pair(run: _Run) -> int:
             lines.append(f"certified_bound: 2^-{pv.certificate.K}")
         if pv.bound_check:
             lines.append(f"bound_ok: {pv.bound_check['ok']}")
-        run.emit("\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        run.emit(_json_line(verdict_record(pv)))
+        _emit(args, _json_line(verdict_record(pv)))
     return EXIT_OK
 
 
@@ -367,15 +343,14 @@ def _scan_points(codes: list[str], include_limits: bool):
     return points, certs
 
 
-def cmd_scan(run: _Run) -> int:
-    N, m = run.scan_params()
-    fmt = run.fmt("jsonl", ("jsonl", "text"))
-    codes = run.codes()
+def cmd_scan(args: argparse.Namespace) -> int:
+    N, m = _scan_params(args)
+    codes = _codes(args)
     if len(codes) < 2:
         raise SpecError("scan needs at least two codes")
     if len(set(codes)) != len(codes):
         raise SpecError("scan codes must be pairwise distinct")
-    points, certs = _scan_points(codes, run.flag("include_limits"))
+    points, certs = _scan_points(codes, args.include_limits)
     report = scrambled_scan(points, N, m, certificates=certs)
     summary = {
         "summary": {
@@ -385,7 +360,7 @@ def cmd_scan(run: _Run) -> int:
             "witness": report.max_clique_witness,
         }
     }
-    if fmt == "text":
+    if args.fmt == "text":
         lines = [
             f"{pv.x_label} | {pv.y_label}: {pv.verdict}" for pv in report.records
         ]
@@ -394,21 +369,20 @@ def cmd_scan(run: _Run) -> int:
             + (f" witness={','.join(report.max_clique_witness)}"
                if report.max_clique_witness else "")
         )
-        run.emit("\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
         chunks = [_json_line(verdict_record(pv)) for pv in report.records]
         chunks.append(_json_line(summary))
-        run.emit("".join(chunks))
+        _emit(args, "".join(chunks))
     return EXIT_OK if report.max_clique_size <= 2 else EXIT_VERIFY
 
 
-def cmd_omega(run: _Run) -> int:
-    fmt = run.fmt("csv", ("csv", "text"))
-    n_values = _factor_range(run.opt("factor_len", "5..20", str))
-    horizon, _ = run.scan_params()
-    report = omega_scrambled_check(run.args.s, run.args.t, n_values, horizon=horizon)
+def cmd_omega(args: argparse.Namespace) -> int:
+    n_values = _factor_range(args.factor_len)
+    horizon, _ = _scan_params(args)
+    report = omega_scrambled_check(args.s, args.t, n_values, horizon=horizon)
     verdict = "pass" if report.passed else "fail"
-    if fmt == "csv":
+    if args.fmt == "csv":
         rows = ["n,diff_st,diff_ts,intersection,z_total,z_missing,aperiodic_s,aperiodic_t,note"]
         for r in report.rows:
             rows.append(
@@ -416,7 +390,7 @@ def cmd_omega(run: _Run) -> int:
                 f"{r.z_missing},{int(r.aperiodic_s)},{int(r.aperiodic_t)},{r.note}"
             )
         rows.append(f"# summary: {verdict}")
-        run.emit("\n".join(rows) + "\n")
+        _emit(args, "\n".join(rows) + "\n")
     else:
         lines = []
         for r in report.rows:
@@ -429,25 +403,22 @@ def cmd_omega(run: _Run) -> int:
                 line += f" note={r.note}"
             lines.append(line)
         lines.append(f"summary: {verdict}")
-        run.emit("\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_sturmian_check(run: _Run) -> int:
-    fmt = run.fmt("text", ("text", "csv"))
-    angle = parse_surd(run.opt("angle", "1/4*sqrt(2)", str))
-    max_shift = run.opt("max_shift", 50, int)
-    N = run.opt("horizon", QUICK_N, int)
-    m = run.opt("resolution", QUICK_M, int)
-    report = sturmian_no_LY_check(angle, max_shift, N, m)
+def cmd_sturmian_check(args: argparse.Namespace) -> int:
+    report = sturmian_no_LY_check(
+        parse_surd(args.angle), args.max_shift, args.horizon, args.resolution
+    )
     bad = [r for r in report.pairs if r.verdict != "distal-candidate" or not r.ok]
-    if fmt == "csv":
+    if args.fmt == "csv":
         rows = ["i,j,K,max_lcp,verdict,ok"]
         rows.extend(
             f"{r.i},{r.j},{r.K},{r.max_lcp},{r.verdict},{int(r.ok)}"
             for r in report.pairs
         )
-        run.emit("\n".join(rows) + "\n")
+        _emit(args, "\n".join(rows) + "\n")
     else:
         lines = [
             f"alpha: {report.alpha}",
@@ -457,83 +428,77 @@ def cmd_sturmian_check(run: _Run) -> int:
         ]
         lines.extend(f"  bad pair ({r.i},{r.j}): {r.verdict} ok={r.ok}" for r in bad[:20])
         lines.append(f"summary: {'pass' if report.passed else 'fail'}")
-        run.emit("\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_sclosed_check(run: _Run) -> int:
-    depth = run.opt("depth", 10, int)
-    horizon = run.opt("horizon", QUICK_N, int)
-    codes = run.codes(lambda: nested_limit_codes(depth))
-    report = sclosed_limit_check(codes, horizon=horizon)
+def cmd_sclosed_check(args: argparse.Namespace) -> int:
+    codes = _codes(args, lambda: nested_limit_codes(args.depth))
+    report = sclosed_limit_check(codes, horizon=args.horizon)
     lines = [f"limit: {report.codes[-1]}"]
     lines.extend(
         f"k={k + 1} code={c} lcp={v}"
         for k, (c, v) in enumerate(zip(report.codes[:-1], report.lcps))
     )
     lines.append(f"summary: {report.status}")
-    run.emit("\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     if report.status == "not applicable":
         return EXIT_USAGE
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _dendrite_model(run: _Run):
-    language = run.opt("language", "family", str)
-    if language == "full":
+def _dendrite_model(args: argparse.Namespace):
+    if args.language == "full":
         return full_binary_model()
-    if language == "family":
-        horizon = run.opt("horizon", 10_000, int)
-        return family_model(run.codes(), horizon=horizon)
-    raise SpecError(f"unknown language {language!r} (use family or full)")
+    return family_model(_codes(args), horizon=args.horizon)
 
 
-def cmd_dendrite(run: _Run) -> int:
-    sub = run.args.dendrite_cmd
-    model = _dendrite_model(run)
-    if sub == "iterate":
-        pt = parse_point_literal(run.args.point)
-        if isinstance(pt, (Branch, Interior)) and not contains_arc(model, pt.w):
-            raise SpecError(f"address rejected by the model: {pt.w!r}")
-        steps_cap = run.opt("steps", 10, int)
-        lines = []
-        if isinstance(pt, Root):
-            lines.append("0: root")
-        else:
-            # branch/interior orbits end at the root on their own; only
-            # endpoint orbits need the cap
-            limit = max(steps_cap, 1) if isinstance(pt, End) else steps_to_root(pt)
-            for k in range(1, limit + 1):
-                pt = apply_f(model, pt)
-                lines.append(f"{k}: {format_point(pt)}")
-                if isinstance(pt, Root):
-                    break
-            if not isinstance(pt, Root):
-                lines.append(f"steps_to_root: {steps_to_root(pt)}")
-        run.emit("\n".join(lines) + "\n")
-        return EXIT_OK
-    if sub == "graph":
-        run.fmt("dot", ("dot",))
-        depth = run.opt("depth", 6, int)
-        run.emit(emit_graph(model, depth))
-        return EXIT_OK
-    if sub == "check":
-        n = run.factor_len(5)
-        ext = run.opt("ext", 10, int)
-        iso = no_isolated_points_check(model, n, ext)
-        finv = f_invariance_check(model, n)
-        lines = [
-            f"accepted words of length {n}: {iso.accepted_count}",
-            f"isolated: {len(iso.violators)}",
-        ]
-        lines.extend(f"  isolated: {w}" for w in iso.violators[:20])
-        lines.append(f"f-invariance violations: {len(finv)}")
-        lines.extend(f"  not invariant: {w}" for w in finv[:20])
-        ok = iso.passed and not finv
-        lines.append(f"summary: {'pass' if ok else 'fail'}")
-        run.emit("\n".join(lines) + "\n")
-        return EXIT_OK if ok else EXIT_VERIFY
-    raise SpecError(f"unknown dendrite subcommand {sub!r}")
+def cmd_iterate(args: argparse.Namespace) -> int:
+    if args.steps < 1:
+        raise SpecError("steps must be >= 1")
+    model = _dendrite_model(args)
+    pt = parse_point_literal(args.point)
+    if isinstance(pt, (Branch, Interior)) and not contains_arc(model, pt.w):
+        raise SpecError(f"address rejected by the model: {pt.w!r}")
+    lines = []
+    if isinstance(pt, Root):
+        lines.append("0: root")
+    else:
+        # branch/interior orbits end at the root on their own; only
+        # endpoint orbits need the cap
+        limit = args.steps if isinstance(pt, End) else steps_to_root(pt)
+        for k in range(1, limit + 1):
+            pt = apply_f(model, pt)
+            lines.append(f"{k}: {format_point(pt)}")
+            if isinstance(pt, Root):
+                break
+        if not isinstance(pt, Root):
+            lines.append(f"steps_to_root: {steps_to_root(pt)}")
+    _emit(args, "\n".join(lines) + "\n")
+    return EXIT_OK
+
+
+def cmd_graph(args: argparse.Namespace) -> int:
+    _emit(args, emit_graph(_dendrite_model(args), args.depth))
+    return EXIT_OK
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    model = _dendrite_model(args)
+    n = _factor_len(args)
+    iso = no_isolated_points_check(model, n, args.ext)
+    finv = f_invariance_check(model, n)
+    lines = [
+        f"accepted words of length {n}: {iso.accepted_count}",
+        f"isolated: {len(iso.violators)}",
+    ]
+    lines.extend(f"  isolated: {w}" for w in iso.violators[:20])
+    lines.append(f"f-invariance violations: {len(finv)}")
+    lines.extend(f"  not invariant: {w}" for w in finv[:20])
+    ok = iso.passed and not finv
+    lines.append(f"summary: {'pass' if ok else 'fail'}")
+    _emit(args, "\n".join(lines) + "\n")
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 # -- parser ------------------------------------------------------------------
@@ -546,7 +511,7 @@ _SHARED = {
     "factor_len": ("--factor-len", dict(help="factor length n, or a range lo..hi")),
     "codes": ("--codes", dict(help="file with one code per line")),
     "codes_inline": ("--codes-inline", dict(help="comma-separated codes")),
-    "fmt": ("--format", dict(choices=["text", "jsonl", "csv", "dot"])),
+    "fmt": ("--format", dict()),
     "quick": ("--quick", dict(action="store_true",
                               help="quick-mode defaults (N=1e5, m=20)")),
     "include_limits": ("--include-limits", dict(
@@ -554,31 +519,45 @@ _SHARED = {
     "out": ("--out", dict(help="write output to this file")),
     "config": ("--config", dict(help="key=value config file")),
 }
+# Config keys that take yes/no and stand for a bare flag.
+_SWITCHES = {flag[2:] for flag, kw in _SHARED.values() if kw.get("action") == "store_true"}
 
-# The shared options each command reads (the dendrite subcommands by
-# their own names), besides --out and --config; argparse rejects the
-# others.  sturmian-check keeps --quick, which changes nothing there:
-# its defaults already are the quick values.
+# The shared options each command reads, besides --out and --config, with
+# their defaults; a --format entry lists its choices, default first.
+# argparse rejects the others.  A horizon or resolution of None is set by
+# --quick (_scan_params).  sturmian-check keeps --quick, which changes
+# nothing there: its defaults already are the quick values.
 _READS = {
-    "gen": (),
-    "diamond": ("horizon", "quick", "factor_len"),
-    "pair": ("horizon", "resolution", "quick", "fmt"),
-    "scan": ("horizon", "resolution", "quick", "fmt", "codes", "codes_inline",
-             "include_limits"),
-    "omega": ("horizon", "quick", "factor_len", "fmt"),
-    "sturmian-check": ("horizon", "resolution", "quick", "fmt"),
-    "sclosed-check": ("horizon", "codes", "codes_inline"),
-    "iterate": ("horizon", "codes", "codes_inline"),
-    "graph": ("horizon", "codes", "codes_inline", "fmt"),
-    "check": ("horizon", "codes", "codes_inline", "factor_len"),
+    "gen": {},
+    "diamond": {"horizon": None, "quick": False, "factor_len": "20"},
+    "pair": {"horizon": None, "resolution": None, "quick": False,
+             "fmt": ("jsonl", "csv", "text")},
+    "scan": {"horizon": None, "resolution": None, "quick": False,
+             "fmt": ("jsonl", "text"), "codes": None, "codes_inline": None,
+             "include_limits": False},
+    "omega": {"horizon": None, "quick": False, "factor_len": "5..20",
+              "fmt": ("csv", "text")},
+    "sturmian-check": {"horizon": QUICK_N, "resolution": QUICK_M, "quick": False,
+                       "fmt": ("text", "csv")},
+    "sclosed-check": {"horizon": QUICK_N, "codes": None, "codes_inline": None},
+    "dendrite iterate": {"horizon": 10_000, "codes": None, "codes_inline": None},
+    "dendrite graph": {"horizon": 10_000, "codes": None, "codes_inline": None,
+                       "fmt": ("dot",)},
+    "dendrite check": {"horizon": 10_000, "codes": None, "codes_inline": None,
+                       "factor_len": "5"},
 }
 
 
-def _command(sub, name: str, **kwargs) -> argparse.ArgumentParser:
-    sp = sub.add_parser(name, **kwargs)
-    for dest in (*_READS[name], "out", "config"):
+def _command(sub, name: str, run: Callable[[argparse.Namespace], int],
+             **kwargs) -> argparse.ArgumentParser:
+    sp = sub.add_parser(name.rpartition(" ")[2], **kwargs)
+    sp.set_defaults(run=run, name=name)
+    for dest, default in (*_READS[name].items(), ("out", None), ("config", None)):
         flag, opts = _SHARED[dest]
-        sp.add_argument(flag, dest=dest, **opts)
+        if dest == "fmt":
+            opts = dict(choices=default)
+            default = default[0]
+        sp.add_argument(flag, dest=dest, default=default, **opts)
     return sp
 
 
@@ -589,73 +568,68 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gehman", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = _command(sub, "gen", help="print stream symbols")
+    sp = _command(sub, "gen", cmd_gen, help="print stream symbols")
     sp.add_argument("spec", help="stream spec, e.g. x:000 or A:1/4*sqrt(2)")
     sp.add_argument("count", type=int, help="number of symbols")
 
-    sp = _command(sub, "diamond", help="omega-limit inclusion checks for one code")
+    sp = _command(sub, "diamond", cmd_diamond,
+                  help="omega-limit inclusion checks for one code")
     sp.add_argument("code", help="family code, e.g. 000")
-    sp.add_argument("--source-horizon", dest="source_horizon", type=int)
+    sp.add_argument("--source-horizon", type=int, default=10_000)
 
-    sp = _command(sub, "pair", help="classify one pair")
+    sp = _command(sub, "pair", cmd_pair, help="classify one pair")
     sp.add_argument("x", help="stream spec")
     sp.add_argument("y", help="stream spec")
 
-    _command(sub, "scan", help="scrambled-set scan over family points")
+    _command(sub, "scan", cmd_scan, help="scrambled-set scan over family points")
 
-    sp = _command(sub, "omega", help="omega-scrambling surrogates for a code pair")
+    sp = _command(sub, "omega", cmd_omega,
+                  help="omega-scrambling surrogates for a code pair")
     sp.add_argument("s", help="first code")
     sp.add_argument("t", help="second code")
 
-    sp = _command(sub, "sturmian-check",
+    sp = _command(sub, "sturmian-check", cmd_sturmian_check,
                   help="no-Li-Yorke certificates for Sturmian shifts")
-    sp.add_argument("--angle", help="rotation angle surd")
-    sp.add_argument("--max-shift", dest="max_shift", type=int)
+    sp.add_argument("--angle", default="1/4*sqrt(2)", help="rotation angle surd")
+    sp.add_argument("--max-shift", type=int, default=50)
 
-    sp = _command(sub, "sclosed-check",
+    sp = _command(sub, "sclosed-check", cmd_sclosed_check,
                   help="limit coherence along the nested code family")
-    sp.add_argument("--depth", type=int)
+    sp.add_argument("--depth", type=int, default=10)
 
     # no shared options here: the subcommand's defaults would overwrite them
     sp = sub.add_parser("dendrite", help="dendrite tools")
     dsub = sp.add_subparsers(dest="dendrite_cmd", required=True)
-    dp = _command(dsub, "iterate", help="orbit of a point literal")
+    dp = _command(dsub, "dendrite iterate", cmd_iterate, help="orbit of a point literal")
     dp.add_argument("point", help="root | branch:<w> | int:<w>:<t> | end:<spec>")
-    dp.add_argument("--steps", type=int, help="cap for endpoint orbits")
-    dp.add_argument("--language", choices=["family", "full"])
-    dp = _command(dsub, "graph", help="emit DOT tree")
-    dp.add_argument("--depth", type=int)
-    dp.add_argument("--language", choices=["family", "full"])
-    dp = _command(dsub, "check", help="no-isolated-points and f-invariance checks")
-    dp.add_argument("--ext", type=int)
-    dp.add_argument("--language", choices=["family", "full"])
+    dp.add_argument("--steps", type=int, default=10, help="cap for endpoint orbits")
+    dp.add_argument("--language", choices=["family", "full"], default="family")
+    dp = _command(dsub, "dendrite graph", cmd_graph, help="emit DOT tree")
+    dp.add_argument("--depth", type=int, default=6)
+    dp.add_argument("--language", choices=["family", "full"], default="family")
+    dp = _command(dsub, "dendrite check", cmd_check,
+                  help="no-isolated-points and f-invariance checks")
+    dp.add_argument("--ext", type=int, default=10)
+    dp.add_argument("--language", choices=["family", "full"], default="family")
     return p
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "diamond": cmd_diamond,
-    "pair": cmd_pair,
-    "scan": cmd_scan,
-    "omega": cmd_omega,
-    "sturmian-check": cmd_sturmian_check,
-    "sclosed-check": cmd_sclosed_check,
-    "dendrite": cmd_dendrite,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags go right after the command, so the command
+            # line's own flags come later and win
+            at = len(args.name.split())
+            args = parser.parse_args(
+                [*argv[:at], *_config_tokens(args.config), *argv[at:]]
+            )
+        return args.run(args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        run = _Run(args)
-        return _COMMANDS[args.command](run)
-    except CutPointCollision as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, TypeError, OSError) as e:
+    except (CutPointCollision, ValueError, TypeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

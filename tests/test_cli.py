@@ -385,6 +385,14 @@ class TestDendriteCmd:
             "steps_to_root: never\n"
         )
 
+    @pytest.mark.parametrize("steps", ["0", "-4"])
+    def test_iterate_steps_below_one_rejected(self, steps):
+        # both used to run one step and exit 0
+        p = run_cli("dendrite", "iterate", "end:x:000", f"--steps={steps}")
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == "error: steps must be >= 1\n"
+
     def test_iterate_rejected_address(self):
         p = run_cli("dendrite", "iterate", "branch:1010101010")
         assert p.returncode == 2
@@ -425,7 +433,7 @@ class TestDendriteCmd:
     def test_check_factor_len_range_rejected(self):
         p = run_cli("dendrite", "check", "--factor-len", "3..4")
         assert p.returncode == 2
-        assert "takes one factor length" in p.stderr
+        assert p.stderr == "error: dendrite check takes one factor length, not '3..4'\n"
         one = run_cli("dendrite", "check", "--factor-len", "4", "--language", "full")
         assert one.returncode == 0
         assert one.stdout.splitlines()[0] == "accepted words of length 4: 16"
@@ -469,6 +477,68 @@ class TestPlumbing:
         assert p.returncode == 0
         summary = json.loads(p.stdout.strip().splitlines()[-1])["summary"]
         assert summary["points"] == 2
+
+    def _config(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        return ["--config", str(cfg)]
+
+    def test_config_format_is_honoured(self, tmp_path, capsys):
+        # the key is the flag's name; it used to be the dest "fmt"
+        from gehman.cli import main
+
+        base = ["pair", "per:01", "per:00", "--horizon", "4", "--resolution", "8"]
+        assert main(base + ["--format", "text"]) == 0
+        flag = capsys.readouterr().out
+        assert flag.startswith("pair: per:01 | per:00\n")
+        assert main(base + self._config(tmp_path, "format=text\n")) == 0
+        assert capsys.readouterr().out == flag
+        assert main(base + self._config(tmp_path, "fmt=text\n")) == 2
+        assert "unrecognized arguments: --fmt=text" in capsys.readouterr().err
+
+    def test_config_unknown_key_is_usage_error(self, tmp_path, capsys):
+        from gehman.cli import main
+
+        args = ["pair", "per:01", "per:00"] + self._config(tmp_path, "horizn=5\n")
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --horizn=5" in captured.err
+
+    def test_config_switch_takes_yes_or_no(self, tmp_path, capsys):
+        from gehman.cli import main
+
+        cfg = self._config(tmp_path, "quick=maybe\n")
+        assert main(["pair", "per:01", "per:00"] + cfg) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg[1]}:1: quick takes yes or no, not 'maybe'\n"
+        )
+
+    def test_config_switch_off_does_not_override_flag(self, tmp_path, capsys):
+        from gehman.cli import main
+
+        base = ["pair", "per:01", "per:00", "--format", "text", "--quick"]
+        assert main(base + self._config(tmp_path, "quick=no\n")) == 0
+        assert "params: N=100000 m=20" in capsys.readouterr().out.splitlines()
+        assert main(base[:-1] + self._config(tmp_path, "quick=yes\n")) == 0
+        assert "params: N=100000 m=20" in capsys.readouterr().out.splitlines()
+
+    def test_config_leading_minus_value(self, tmp_path, capsys):
+        from gehman.cli import main
+
+        base = ["sturmian-check", "--max-shift", "2", "--horizon", "100"]
+        assert main(base + ["--angle=-1/8+1/4*sqrt(2)"]) == 0
+        flag = capsys.readouterr().out
+        assert flag.startswith("alpha: -1/8 + 1/4*sqrt(2)\n")
+        assert main(base + self._config(tmp_path, "angle=-1/8+1/4*sqrt(2)\n")) == 0
+        assert capsys.readouterr().out == flag
+
+    def test_config_bad_choice(self, tmp_path, capsys):
+        from gehman.cli import main
+
+        args = ["dendrite", "graph"] + self._config(tmp_path, "language=fam\n")
+        assert main(args) == 2
+        assert "argument --language: invalid choice: 'fam'" in capsys.readouterr().err
 
     def test_determinism_two_runs(self):
         args = (
@@ -563,12 +633,21 @@ class TestUnreadOptions:
         assert main(_BASES[command]) != 2
         assert "error" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,option", _UNREAD)
-    def test_unread_option_is_usage_error(self, command, option, capsys):
+    @pytest.mark.parametrize("command,option,via", [
+        pytest.param(c, o, via, id=f"{c}-{o}" + ("-config" if via == "config" else ""))
+        for via in ("flag", "config") for c, o in _UNREAD
+    ])
+    def test_unread_option_is_usage_error(self, command, option, via, tmp_path, capsys):
         from gehman.cli import main
 
-        assert main(_BASES[command] + _VALUES[option]) == 2
-        assert f"unrecognized arguments: {_VALUES[option][0]}" in capsys.readouterr().err
+        extra = _VALUES[option]
+        if via == "config":
+            # a config line is the same flag, so it is rejected the same way
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{option[2:]}={extra[1] if len(extra) > 1 else 'yes'}\n")
+            extra = ["--config", str(cfg)]
+        assert main(_BASES[command] + extra) == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
     def test_sturmian_check_keeps_quick(self, capsys):
         # its defaults already are the quick values, so --quick changes nothing

@@ -28,7 +28,12 @@ default CLI commands of the ROADMAP baseline table and two ``gen``
 calls (the ``gen-fresh`` edge spec and a 1e6-symbol ``A:`` spec), each run
 ``L5_RUNS`` times per side, alternating which side goes first.
 ``l5_identical`` holds, per command, whether every run of both sides
-gave the same exit code and stdout.
+gave the same exit code and stdout.  Each L5 run sits between two runs
+of the side's ``perfbench/worker.speed_probe()``, each in a fresh
+process, and ``scaled_median_s`` is the median of wall x ``PROBE_REF_S``
+/ (the sum of the two probes): the same scaling, and the same reference
+speed, as ``perfbench/run.py`` gives the workload times, whose worker
+also times the probe once before and once after its calls.
 """
 
 from __future__ import annotations
@@ -116,8 +121,22 @@ def _cli(side: Path, args: list[str]) -> tuple[float, int, str]:
     return wall, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
 
+_PROBE = "import json, run, worker; print(json.dumps([worker.speed_probe(), run.PROBE_REF_S]))"
+
+
+def _probe(side: Path) -> tuple[float, float]:
+    """The side's ``worker.speed_probe()`` in a fresh process, and ``PROBE_REF_S``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE], cwd=side / "perfbench",
+        env=dict(os.environ, PYTHONPATH=str(side / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    return tuple(json.loads(proc.stdout))
+
+
 def _l5(sides: dict[str, Path], here: Path) -> dict[str, list[dict]]:
-    """Each default command L5_RUNS times per side, alternating the sides."""
+    """Each default command L5_RUNS times per side, alternating the sides,
+    each run between two speed probes."""
     out: dict[str, list[dict]] = {side: [] for side in sides}
     for args in L5_COMMANDS:
         runs: dict[str, list] = {side: [] for side in sides}
@@ -125,13 +144,19 @@ def _l5(sides: dict[str, Path], here: Path) -> dict[str, list[dict]]:
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
                 with _at(sides[side], here):
-                    runs[side].append(_cli(here, args))
+                    before, ref = _probe(here)
+                    wall, rc, digest = _cli(here, args)
+                    after, _ = _probe(here)
+                runs[side].append((wall, rc, digest, [before, after],
+                                   wall * ref / (before + after)))
         for side, rs in runs.items():
-            walls, exits, digests = (list(col) for col in zip(*rs))
+            walls, exits, digests, probes, scaled = (list(col) for col in zip(*rs))
             out[side].append({
                 "command": "gehman " + " ".join(args),
                 "wall_s": walls,
                 "median_s": float(np.median(walls)),
+                "probe_s": probes,
+                "scaled_median_s": float(np.median(scaled)),
                 "exit": exits,
                 "stdout_sha256": digests,
             })
