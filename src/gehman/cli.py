@@ -12,6 +12,7 @@ errors, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import sys
@@ -61,6 +62,25 @@ from gehman.family import (
     b_stream,
     x_stream,
 )
+
+
+def _keep_freed_pages() -> None:
+    # glibc hands each freed block above its mmap threshold (128 KiB at
+    # first) back to the system, so calls that allocate and free arrays
+    # of about 1 MiB (generation, pair compares) fault the same pages in
+    # again and again.  Fixed mmap and trim thresholds keep such blocks
+    # in the heap.  Other platforms and C libraries keep their defaults.
+    if sys.platform.startswith("linux"):
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+            mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+        except (OSError, AttributeError):
+            pass
+
+
+_keep_freed_pages()
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -550,7 +570,7 @@ _READS = {
 
 def _command(sub, name: str, run: Callable[[argparse.Namespace], int],
              **kwargs) -> argparse.ArgumentParser:
-    sp = sub.add_parser(name.rpartition(" ")[2], **kwargs)
+    sp = sub.add_parser(name.rpartition(" ")[2], allow_abbrev=False, **kwargs)
     sp.set_defaults(run=run, name=name)
     for dest, default in (*_READS[name].items(), ("out", None), ("config", None)):
         flag, opts = _SHARED[dest]
@@ -565,7 +585,9 @@ def _command(sub, name: str, run: Callable[[argparse.Namespace], int],
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing does not change the parser, and
     # building it costs far more than a parse.
-    p = argparse.ArgumentParser(prog="gehman", description=__doc__.split("\n")[0])
+    # Flags and config keys are spelled in full: a prefix is not a flag.
+    p = argparse.ArgumentParser(prog="gehman", description=__doc__.split("\n")[0],
+                                allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = _command(sub, "gen", cmd_gen, help="print stream symbols")
@@ -598,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=10)
 
     # no shared options here: the subcommand's defaults would overwrite them
-    sp = sub.add_parser("dendrite", help="dendrite tools")
+    sp = sub.add_parser("dendrite", allow_abbrev=False, help="dendrite tools")
     dsub = sp.add_subparsers(dest="dendrite_cmd", required=True)
     dp = _command(dsub, "dendrite iterate", cmd_iterate, help="orbit of a point literal")
     dp.add_argument("point", help="root | branch:<w> | int:<w>:<t> | end:<spec>")

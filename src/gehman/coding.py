@@ -7,7 +7,7 @@ Symbol indices are 1-based in every public contract (symbol i describes
 the orbit point after i-1 rotation steps); internal buffers are 0-based
 uint8 arrays.
 
-Generation is exact and uses no float: each chunk reduces its start
+Generation is exact and uses no float: each piece reduces its start
 point and the angle once, exactly, to 64-bit fixed-point floors, steps
 the orbit in wrapping uint64 arithmetic, and decides exactly, point by
 point, every symbol whose accumulated rounding window reaches the cut
@@ -28,7 +28,9 @@ import numpy as np
 from gehman.exactnum import QuadSurd, mod1, rotate, surd_floor, surd_sign_int
 
 _CHUNK = 1 << 15
+_BLOCK = 1 << 15  # symbols per cache-sized block of a fill
 _QUARTER = np.uint64(1 << 62)  # the cut 1/4 in 64-bit fixed point
+_NOT_QUARTER = ~_QUARTER
 
 
 class CutPointCollision(Exception):
@@ -47,10 +49,11 @@ class SymbolStream:
     """Infinite binary word with a growable memoized prefix.
 
     Symbols live in one append-only uint8 store; ``_buf`` is the
-    read-only view of the symbols made so far, and subclasses generate
-    by handing chunks to :meth:`_append`.  ``_spectra`` memoizes the
-    factor machinery: for each (horizon, tail_start) the window spectrum
-    at the longest factor length asked so far.
+    read-only view of the symbols made so far.  Subclasses generate by
+    writing into the slots :meth:`_reserve` hands out and publishing
+    them with :meth:`_commit`.  ``_spectra`` memoizes the factor
+    machinery: for each (horizon, tail_start) the window spectrum at the
+    longest factor length asked so far.
     """
 
     def __init__(self, label: str = "stream"):
@@ -63,16 +66,21 @@ class SymbolStream:
     def _extend_to(self, n: int) -> None:
         raise NotImplementedError
 
-    def _append(self, chunk) -> None:
-        # Grows the store geometrically; a view handed out earlier keeps
-        # the old store, whose symbols never change.
+    def _reserve(self, end: int) -> np.ndarray:
+        """Writable slots for symbols len(_buf)+1..end, not yet published.
+
+        Grows the store geometrically; a view handed out earlier keeps
+        the old store, whose symbols never change.
+        """
         size = len(self._buf)
-        end = size + len(chunk)
         if end > self._store.shape[0]:
             store = np.empty(max(end, 2 * size), dtype=np.uint8)
             store[:size] = self._buf
             self._store = store
-        self._store[size:end] = np.frombuffer(chunk, dtype=np.uint8)
+        return self._store[size:end]
+
+    def _commit(self, end: int) -> None:
+        """Publish the reserved slots up to ``end``, all written."""
         self._buf = self._store[:end]
         self._buf.flags.writeable = False
 
@@ -90,7 +98,7 @@ class SymbolStream:
 
     def word(self, n: int) -> str:
         """First n symbols as a 0/1 text word."""
-        return (self.array(n) + ord("0")).tobytes().decode("ascii")
+        return str(self.array(n) + ord("0"), "ascii")
 
     def symbol(self, i: int) -> int:
         """Symbol at 1-based index i."""
@@ -139,35 +147,49 @@ class RotationCoding(SymbolStream):
     # -- generation -------------------------------------------------------
 
     def _extend_to(self, n: int) -> None:
-        while len(self._buf) < n:
-            lo = len(self._buf)
-            hi = min(max(n, lo + _CHUNK), lo + 4 * _CHUNK)
-            self._append(self._chunk(lo, hi))
+        base = lo = len(self._buf)
+        end = max(n, lo + _CHUNK)
+        slots = self._reserve(end)
+        # A piece is published only once every symbol in it is decided,
+        # so a collision leaves no undecided slot behind.
+        while lo < end:
+            hi = min(end, lo + 4 * _CHUNK)
+            self._fill(slots[lo - base:hi - base], lo)
+            self._commit(hi)
+            lo = hi
 
-    def _chunk(self, lo: int, hi: int) -> np.ndarray:
+    def _fill(self, out: np.ndarray, lo: int) -> None:
         # Fixed point with 64 fraction bits.  x0 and a are the floors of
         # 2^64 times the point at lo and the angle, reduced mod 1, so
         # uint64 arithmetic, which wraps mod 2^64, gives x_j = x0 + j*a
         # with the true point at x_j + delta, 0 <= delta < j + 1 units.
-        # A point whose window [x_j, x_j + n] holds a cut (0 or 2^62) is
-        # decided exactly.
-        d, den, n = self._d, self._den, hi - lo
+        # A point whose window [x_j, x_j + w] holds a cut (0 or 2^62),
+        # w the piece length, is decided exactly.  The piece is done in
+        # blocks, so x and the screen stay in cache.
+        d, den, n = self._d, self._den, len(out)
         u, v = self._u0 + lo * self._du, self._v0 + lo * self._dv
         x0 = surd_floor(u << 64, v << 64, d, den) % 2**64
         a = surd_floor(self._du << 64, self._dv << 64, d, den) % 2**64
-        x = np.arange(n, dtype=np.uint64)
-        x *= np.uint64(a)
-        x += np.uint64(x0)
-        sym = (x >= _QUARTER).view(np.uint8)
-        # (x + w) mod 2^64 <= w iff x lies in [-w, 0] mod 2^64
+        size = min(n, _BLOCK)
+        ramp = np.arange(size, dtype=np.uint64)
+        ramp *= np.uint64(a)
+        x = np.empty(size, dtype=np.uint64)
+        risky = np.empty(size, dtype=bool)
         w = np.uint64(n)
-        x += w
-        risky = x <= w
-        x -= _QUARTER
-        risky |= x <= w
-        for j in np.flatnonzero(risky).tolist():
-            sym[j] = self._symbol_at(lo + j)
-        return sym
+        sym = out.view(bool)
+        for b0 in range(0, n, size):
+            m = min(size, n - b0)
+            xb, rb = x[:m], risky[:m]
+            np.add(ramp[:m], np.uint64((x0 + b0 * a) % 2**64), out=xb)
+            np.greater_equal(xb, _QUARTER, out=sym[b0:b0 + m])
+            # (x + w) mod 2^64, with the bit of 2^62 cleared, is at most
+            # w iff x lies in [-w, 0] or [2^62 - w, 2^62] mod 2^64
+            xb += w
+            xb &= _NOT_QUARTER
+            np.less_equal(xb, w, out=rb)
+            if rb.any():
+                for j in np.flatnonzero(rb).tolist():
+                    out[b0 + j] = self._symbol_at(lo + b0 + j)
 
     def _symbol_at(self, i: int) -> int:
         """Symbol i+1, decided exactly.
@@ -198,8 +220,11 @@ class PeriodicStream(SymbolStream):
         super().__init__(label or f"per:{word}")
 
     def _extend_to(self, n: int) -> None:
-        reps = -(-(n - len(self._buf)) // len(self._cell)) + 1
-        self._append(self._cell * reps)
+        size = len(self._buf)
+        reps = -(-(n - size) // len(self._cell)) + 1
+        end = size + reps * len(self._cell)
+        self._reserve(end)[:] = np.frombuffer(self._cell * reps, dtype=np.uint8)
+        self._commit(end)
 
 
 class WordStream(SymbolStream):
@@ -219,7 +244,8 @@ class WordStream(SymbolStream):
             if any(v not in (0, 1) for v in data):
                 raise ValueError("word bytes must be 0/1 valued")
         super().__init__(label or "word")
-        self._append(data)
+        self._reserve(len(data))[:] = np.frombuffer(data, dtype=np.uint8)
+        self._commit(len(data))
         self.length = len(data)
 
     def _extend_to(self, n: int) -> None:

@@ -58,12 +58,15 @@ class DiamondStream(SymbolStream):
         super().__init__(label or f"diamond({a.label},{b.label})")
 
     def _extend_to(self, n: int) -> None:
-        # blocks up to the one holding position n, in one append
+        # blocks up to the one holding position n, written in one pass
         last = position_decode(n).block
         a = self.first.array(last)
         b = self.second.array(last)
         blocks = range(self._next_block, last + 1)
-        self._append(np.concatenate([p for k in blocks for p in (a[:k], b[:k])]))
+        end = last * (last + 1)
+        parts = [p for k in blocks for p in (a[:k], b[:k])]
+        np.concatenate(parts, out=self._reserve(end))
+        self._commit(end)
         self._next_block = last + 1
 
     def symbol(self, i: int) -> int:

@@ -540,6 +540,24 @@ class TestPlumbing:
         assert main(args) == 2
         assert "argument --language: invalid choice: 'fam'" in capsys.readouterr().err
 
+    def test_abbreviated_flag_is_usage_error(self, capsys):
+        # a prefix of --resolution used to run the pair at m = 5
+        from gehman.cli import main
+
+        assert main(["pair", "x:000", "a:000", "--res", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --res 5" in captured.err
+
+    def test_abbreviated_config_key_is_usage_error(self, tmp_path, capsys):
+        from gehman.cli import main
+
+        args = ["pair", "x:000", "a:000"] + self._config(tmp_path, "res=5\n")
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --res=5" in captured.err
+
     def test_determinism_two_runs(self):
         args = (
             "scan", "--codes-inline", "000,011,101", "--horizon", "5000",

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import oracle
 from gehman.chaoscan import certified_b_distality, omega_scrambled_check
 from gehman.coding import (
+    _BLOCK,
+    _CHUNK,
     AtomProfile,
     CutPointCollision,
     _packed_windows,
@@ -197,20 +199,91 @@ class TestCertifiedScreen:
     @pytest.mark.parametrize("cut", ["0", "1/4"])
     @pytest.mark.parametrize("k", [7, 40_000])
     def test_collision_past_the_screen(self, cut, k):
-        # the chunk before index k is clean, and the collision is found
-        # by a chunk anchored at index 0 or at k, for small and huge B
+        # the fill before index k is clean, and the collision is found
+        # by a fill anchored at index 0 or at k, for small and huge B
         msg = re.escape(f"cut-point collision at symbol index {k + 1} (point {cut})")
         for b in (10**12, 10**30):
             alpha = QuadSurd(isqrt(2 * b * b), -b, 2)
             rc = RotationCoding(mod1(Fraction(cut) - k * alpha), alpha)
             walk = functools.partial(reference_walk, rc.start, rc.alpha)
-            assert rc._chunk(0, k).tobytes() == walk(0, k)
-            for chunk in (rc._chunk, walk):
+
+            def fill(lo, hi):
+                out = np.empty(hi - lo, dtype=np.uint8)
+                rc._fill(out, lo)
+                return out.tobytes()
+
+            assert fill(0, k) == walk(0, k)
+            for chunk in (fill, walk):
                 with pytest.raises(CutPointCollision, match=msg):
                     chunk(k, k + 5)
             with pytest.raises(CutPointCollision, match=msg) as ei:
                 rc.word(k + 1)
             assert ei.value.index == k + 1
+
+    @pytest.mark.parametrize("cut", ["0", "1/4"])
+    def test_collision_inside_a_multi_piece_extension(self, cut):
+        # symbol k+1 lies in the second piece of one extension; the
+        # first piece is published, the second is not
+        k = 200_000
+        alpha = QuadSurd(isqrt(2 * 10**24), -(10**12), 2)
+        rc = RotationCoding(mod1(Fraction(cut) - k * alpha), alpha)
+        for _ in range(2):
+            with pytest.raises(CutPointCollision) as ei:
+                rc.word(k + 1)
+            assert ei.value.index == k + 1
+            assert len(rc._buf) == 4 * _CHUNK
+        assert rc.prefix(k) == reference_walk(rc.start, rc.alpha, 0, k)
+        assert len(rc._buf) == k
+        with pytest.raises(CutPointCollision) as ei:
+            rc.symbol(k + 1)
+        assert ei.value.index == k + 1
+        assert len(rc._buf) == k
+
+
+EDGE_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _CHUNK + 1]
+EDGE_SPECS = ["A:1/3+1/4*sqrt(2)", "pt:1/8@2000000000-1414213562*sqrt(2)"]
+
+
+class TestFillEdges:
+    """Counts at the block and piece edges of one fill."""
+
+    @pytest.fixture(scope="class")
+    def walks(self):
+        from gehman.cli import parse_stream_spec
+
+        out = {}
+        for spec in EDGE_SPECS:
+            rc = parse_stream_spec(spec)
+            walk = reference_walk(rc.start, rc.alpha, 0, max(EDGE_COUNTS))
+            out[spec] = "".join(map(str, walk))
+        return out
+
+    @pytest.mark.parametrize("spec", EDGE_SPECS)
+    @pytest.mark.parametrize("n", EDGE_COUNTS)
+    def test_word_and_gen_match_the_walk(self, walks, spec, n, capsys):
+        from gehman.cli import main, parse_stream_spec
+
+        rc = parse_stream_spec(spec)
+        assert rc.word(n) == walks[spec][:n]
+        assert main(["gen", spec, str(n)]) == 0
+        assert capsys.readouterr().out == (walks[spec][:n] + "\n" if n else "")
+        start, alpha = rc.start, rc.alpha
+        oc = oracle.IntervalCoder(start.a, start.b, alpha.a, alpha.b, alpha.d)
+        for k in {0, n // 2, n - 2, n - 1} & set(range(n)):
+            assert rc.word(n)[k] == str(oc.symbol(k))
+
+    @settings(max_examples=10)
+    @given(large_angles(max_den=10**400),
+           st.lists(st.integers(1, 3 * _BLOCK), min_size=50, max_size=50))
+    def test_small_steps_equal_one_extension(self, angle, steps):
+        start, a, b, d = angle
+        alpha = QuadSurd(a, -b, d)
+        grown = RotationCoding(start, alpha)
+        n = 0
+        for step in steps:
+            n += step
+            grown.array(n)
+        assert grown.prefix(n) == RotationCoding(start, alpha).prefix(n)
 
 
 class TestStreams:

@@ -27,8 +27,9 @@ times (each run and their median), exit codes and stdout sha256 of the
 default CLI commands of the ROADMAP baseline table and two ``gen``
 calls (the ``gen-fresh`` edge spec and a 1e6-symbol ``A:`` spec), each run
 ``L5_RUNS`` times per side, alternating which side goes first.
-``l5_identical`` holds, per command, whether every run of both sides
-gave the same exit code and stdout.  Each L5 run sits between two runs
+``minflt`` lists each run's minor page faults, the child's
+``ru_minflt``.  ``l5_identical`` holds, per command, whether every run
+of both sides gave the same exit code and stdout.  Each L5 run sits between two runs
 of the side's ``perfbench/worker.speed_probe()``, each in a fresh
 process, and ``scaled_median_s`` is the median of wall x ``PROBE_REF_S``
 / (the sum of the two probes): the same scaling, and the same reference
@@ -45,6 +46,7 @@ import io
 import json
 import os
 import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -110,15 +112,23 @@ def _bench(side: Path, workloads: str, seed: int, trace: bool) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _cli(side: Path, args: list[str]) -> tuple[float, int, str]:
+def _minflt_children() -> int:
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
+def _cli(side: Path, args: list[str]) -> tuple[float, int, int, str]:
+    """Wall time, minor page faults, exit code and stdout sha256 of one call."""
     env = dict(os.environ, PYTHONPATH=str(side / "src"))
+    faults = _minflt_children()
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "gehman.cli", *args],
         cwd=side, env=env, capture_output=True,
     )
     wall = time.perf_counter() - start
-    return wall, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+    # the call is the only child reaped in between
+    faults = _minflt_children() - faults
+    return wall, faults, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
 
 _PROBE = "import json, run, worker; print(json.dumps([worker.speed_probe(), run.PROBE_REF_S]))"
@@ -145,15 +155,17 @@ def _l5(sides: dict[str, Path], here: Path) -> dict[str, list[dict]]:
             for side in order:
                 with _at(sides[side], here):
                     before, ref = _probe(here)
-                    wall, rc, digest = _cli(here, args)
+                    wall, faults, rc, digest = _cli(here, args)
                     after, _ = _probe(here)
-                runs[side].append((wall, rc, digest, [before, after],
+                runs[side].append((wall, faults, rc, digest, [before, after],
                                    wall * ref / (before + after)))
         for side, rs in runs.items():
-            walls, exits, digests, probes, scaled = (list(col) for col in zip(*rs))
+            walls, faults, exits, digests, probes, scaled = (
+                list(col) for col in zip(*rs))
             out[side].append({
                 "command": "gehman " + " ".join(args),
                 "wall_s": walls,
+                "minflt": faults,
                 "median_s": float(np.median(walls)),
                 "probe_s": probes,
                 "scaled_median_s": float(np.median(scaled)),
