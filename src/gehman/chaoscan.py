@@ -564,17 +564,23 @@ class SturmianReport:
 def _window_max(series: np.ndarray, w: int) -> list[int]:
     """max(series[i:i+w]) for every full window i = 0..len(series)-w.
 
-    The windows' starts and ends cut the series into pieces; one reduceat
-    pass takes each piece's max, and a window's max is that of its
-    pieces.  With fewer windows than w, that is one middle piece shared
-    by all of them and a few one-symbol pieces at each edge.
+    Cutting the series at every window start and end leaves pieces
+    (one reduceat pass), and each of the count windows is a run of
+    L = min(count, w) pieces: with fewer windows than w, the middle all
+    windows share is one piece.  The run maxima come from block prefix
+    and suffix maxima (van Herk / Gil-Werman): in blocks of L pieces,
+    run i, which meets at most two blocks, has max(suffix[i],
+    prefix[i+L-1]).  The padding of a short last block is never read:
+    every run starts in a full block and ends by the last piece.
     """
     count = series.size - w + 1
-    cuts = np.union1d(np.arange(count), np.arange(w, series.size))
+    span = min(count, w)
+    cuts = np.concatenate((np.arange(count), np.arange(max(count, w), series.size)))
     pieces = np.maximum.reduceat(series, cuts)
-    lo = np.searchsorted(cuts, np.arange(count)).tolist()
-    hi = np.searchsorted(cuts, np.arange(w, w + count)).tolist()
-    return [int(pieces[a:b].max()) for a, b in zip(lo, hi)]
+    blocks = np.pad(pieces, (0, -pieces.size % span)).reshape(-1, span)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:count], prefix[span - 1:span - 1 + count]).tolist()
 
 
 def sturmian_no_LY_check(
@@ -593,12 +599,12 @@ def sturmian_no_LY_check(
         raise ValueError("max_shift must be >= 1")
     a = sturmian_stream(alpha)
     profile = atom_profile(a.alpha)
-    certs: dict[int, tuple[int, QuadSurd]] = {}
+    certs: dict[int, tuple[int, str]] = {}
     for diff in range(1, max_shift + 1):
         delta = circle_distance(mod1(diff * a.alpha), QuadSurd(0))
         if delta.sign() == 0:
             raise RuntimeError("internal failure: rational rotation angle")
-        certs[diff] = profile.depth_for(delta), delta
+        certs[diff] = profile.depth_for(delta), str(delta)
     if N < 1 or m < 1:
         raise ValueError("need N >= 1 and m >= 1")
     # Pair (i, j) at shift n compares base[i+n:] with base[j+n:], so its
@@ -614,7 +620,7 @@ def sturmian_no_LY_check(
                     i=i,
                     j=i + diff,
                     K=K,
-                    delta=str(delta),
+                    delta=delta,
                     max_lcp=top,
                     verdict=VERDICT_DISTAL,
                     ok=top < K,

@@ -516,7 +516,11 @@ class AtomProfile:
     every floor, order and max is decided by ``isqrt`` and
     :func:`surd_sign_int`.  Each depth inserts its two new cuts by
     bisection and updates a count of the gap lengths (a rotation has
-    only a few distinct gaps).
+    only a few distinct gaps).  Each depth keeps its gap diameter and
+    cylinder bound as (u, v) pairs; :meth:`diameter` and
+    :meth:`cylinder_diameter` build a QuadSurd only when asked, and
+    :meth:`depth_for` clears the denominators of delta against M once
+    and decides each depth with one :func:`surd_sign_int`.
 
     Words grow by one symbol per depth.  Arc j runs from cut j to the
     next cut; bit i of its word is symbol i+1 of every point inside it.
@@ -544,8 +548,11 @@ class AtomProfile:
         self._cuts: list[tuple[int, int]] = [(0, 0), (m // 4, 0)]
         self._words: list[int] | None = [0, 1]
         self._gaps = Counter({(m // 4, 0): 1, (m - m // 4, 0): 1})
-        self._diameters: list[QuadSurd] = []
-        self._cylinders: list[QuadSurd] = []
+        # per depth, as (u, v) pairs: the largest gap, the largest word
+        # region, and the larger of the two
+        self._diameters: list[tuple[int, int]] = []
+        self._cylinders: list[tuple[int, int]] = []
+        self._bounds: list[tuple[int, int]] = []
         self._record()
 
     # -- integer coordinates ----------------------------------------------
@@ -620,9 +627,9 @@ class AtomProfile:
         for gap in self._gaps:
             if top is None or self._less(top, gap):
                 top = gap
-        self._diameters.append(self._surd(top))
         half = (self._m // 2, 0)
-        best = top if self._less(top, half) else half
+        narrow = self._less(top, half)
+        best = top if narrow else half
         words = self._words
         if words is not None and len(set(words)) < len(words):
             groups: dict[int, list[int]] = {}
@@ -641,7 +648,12 @@ class AtomProfile:
             # arcs, and the halves of each get different new symbols.
             # Every later region is a single arc, so the words can go.
             self._words = None
-        self._cylinders.append(self._surd(best))
+        self._diameters.append(top)
+        self._cylinders.append(best)
+        # Every spread is at most 1/2, so the cylinder bound is
+        # min(top, 1/2) or more, and at most 1/2: the larger of the two
+        # bounds is top when top >= 1/2 and the cylinder bound otherwise.
+        self._bounds.append(best if narrow else top)
 
     def _arc_pair_spread(self, l1, e1, l2, e2) -> tuple[int, int]:
         """Exact sup of circle distance between closed arcs [l1,l1+e1], [l2,l2+e2].
@@ -665,12 +677,15 @@ class AtomProfile:
 
     # -- queries ----------------------------------------------------------
 
-    def diameter(self, k: int) -> QuadSurd:
+    def _refine_to(self, k: int) -> None:
         if k < 1:
             raise ValueError("depth must be >= 1")
-        while len(self._diameters) < k:
+        while len(self._bounds) < k:
             self._advance()
-        return self._diameters[k - 1]
+
+    def diameter(self, k: int) -> QuadSurd:
+        self._refine_to(k)
+        return self._surd(self._diameters[k - 1])
 
     def cylinder_diameter(self, k: int) -> QuadSurd:
         """Exact circle diameter of the largest depth-k word region.
@@ -681,11 +696,8 @@ class AtomProfile:
         in which case this strictly exceeds diameter(k); any separation
         certificate must clear this value, not the single-arc gap.
         """
-        if k < 1:
-            raise ValueError("depth must be >= 1")
-        while len(self._cylinders) < k:
-            self._advance()
-        return self._cylinders[k - 1]
+        self._refine_to(k)
+        return self._surd(self._cylinders[k - 1])
 
     def depth_for(self, delta, max_depth: int = 100_000) -> int:
         """Minimal k whose word regions all have diameter < delta.
@@ -693,16 +705,28 @@ class AtomProfile:
         Two points at circle distance >= delta then cannot share their
         first k itinerary symbols, so depth_for(delta) certifies
         symbolic separation for any pair delta apart.  The gap bound
-        diameter(k) is checked first as a cheap necessary condition.
+        diameter(k) < delta is required too, which matters only for
+        delta > 1/2.
+
+        delta*M*L = du + dv*sqrt(d) in integers, with L the lcm of
+        delta's denominators, so depth k passes when du + dv*sqrt(d)
+        exceeds L times the depth's larger bound.
         """
         dq = QuadSurd._coerce(delta)
         if dq is None:
             raise TypeError("delta must be QuadSurd or rational")
         if dq.sign() <= 0:
             raise ValueError("delta must be positive")
+        self.alpha._join_d(dq)  # MixedFieldError for another field
+        a, b, m, d = dq.a, dq.b, self._m, self._d
+        scale = math.lcm(a.denominator, b.denominator)
+        du = a.numerator * (scale // a.denominator) * m
+        dv = b.numerator * (scale // b.denominator) * m
         k = 1
         while True:
-            if self.diameter(k) < dq and self.cylinder_diameter(k) < dq:
+            self._refine_to(k)
+            u, v = self._bounds[k - 1]
+            if surd_sign_int(du - scale * u, dv - scale * v, d) > 0:
                 return k
             k += 1
             if k > max_depth:

@@ -3,7 +3,10 @@
 A value is ``a + b*sqrt(d)`` with ``a``, ``b`` rational and ``d`` a
 square-free integer; purely rational values are normalized to ``d == 1``
 with ``b == 0``.  Every predicate that drives a symbolic decision (sign,
-comparison, floor) is computed with integer arithmetic only.  There are no floating-point fast paths in this module; callers
+comparison, floor) is computed with integer arithmetic only: a comparison
+hands the cross-multiplied numerators of the difference to
+:func:`surd_sign_int` without building a difference surd.  There are no
+floating-point fast paths in this module; callers
 that want a float for display use :meth:`QuadSurd.to_float` and accept
 its rounding.
 
@@ -229,10 +232,23 @@ class QuadSurd:
         return hash((self.a, self.b, self.d))
 
     def _compare(self, other) -> int:
+        """Sign of self - other, from cross-multiplied numerators.
+
+        (a1 - a2) + (b1 - b2)*sqrt(d) times the positive a1.den*a2.den *
+        b1.den*b2.den is an integer pair, so no difference surd is built.
+        """
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare QuadSurd with {type(other).__name__}")
-        return (self - o).sign()
+        d = self._join_d(o)
+        a1, a2, b1, b2 = self.a, o.a, self.b, o.b
+        qa = a1.denominator * a2.denominator
+        qb = b1.denominator * b2.denominator
+        return surd_sign_int(
+            (a1.numerator * a2.denominator - a2.numerator * a1.denominator) * qb,
+            (b1.numerator * b2.denominator - b2.numerator * b1.denominator) * qa,
+            d,
+        )
 
     def __lt__(self, other):
         return self._compare(other) < 0

@@ -473,6 +473,36 @@ class TestScrambledScan:
             scrambled_scan([b_stream("000")], 100, 5)
 
 
+class TestWindowMax:
+    @staticmethod
+    def brute(series, w):
+        return [int(series[i:i + w].max()) for i in range(series.size - w + 1)]
+
+    @pytest.mark.parametrize(
+        "size, w",
+        [(1, 1), (9, 1), (9, 9), (9, 6), (30, 20), (9, 4), (9, 3), (10, 3), (40, 7)],
+    )
+    def test_edge_shapes(self, size, w):
+        # w = 1, one window (count 1), 1 < count <= w, and count > w
+        # with and without a partial last block
+        series = np.random.default_rng(size * 31 + w).integers(-50, 50, size)
+        assert chaoscan._window_max(series, w) == self.brute(series, w)
+
+    @given(
+        st.lists(
+            st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
+            min_size=1,
+            max_size=60,
+        ).flatmap(lambda v: st.tuples(st.just(v), st.integers(1, len(v))))
+    )
+    def test_random_int64_series(self, case):
+        values, w = case
+        series = np.array(values, dtype=np.int64)
+        got = chaoscan._window_max(series, w)
+        assert got == self.brute(series, w)
+        assert all(type(v) is int for v in got)
+
+
 class TestSturmian:
     def test_small_shift_scan(self):
         rep = sturmian_no_LY_check(SQRT2_4, 6, 10_000, 20)

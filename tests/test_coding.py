@@ -35,6 +35,7 @@ from gehman.coding import (
     sturmian_stream,
 )
 from gehman.exactnum import (
+    MixedFieldError,
     QuadSurd,
     circle_distance,
     mod1,
@@ -658,8 +659,9 @@ class TestAtoms:
 
     def test_depth_for_rejects(self):
         prof = atom_profile(SQRT3_8)
-        with pytest.raises(ValueError):
-            prof.depth_for(0)
+        for delta in (0, Fraction(-1, 3), QuadSurd(0, -1, 3)):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                prof.depth_for(delta)
         with pytest.raises(TypeError):
             prof.depth_for("x")
 
@@ -803,6 +805,58 @@ class TestAtomProfileAgainstReference:
                     seen[cert.delta] = ref.depth_for(cert.delta)
                 assert cert.K == seen[cert.delta]
         assert max(seen.values()) == 96
+
+
+@functools.cache
+def shared_reference(alpha) -> ReferenceAtomProfile:
+    return ReferenceAtomProfile(alpha)
+
+
+class TestDepthForAgainstReference:
+    # depth_for decides in integer coordinates; the reference compares
+    # QuadSurds.  Deltas above 1/2 are the only ones where diameter(k)
+    # can fail while cylinder_diameter(k) passes.
+    RATIONAL = [
+        Fraction(1, 2), Fraction(3, 4), Fraction(3, 5), Fraction(7, 8),
+        1, 2, Fraction(1, 3), Fraction(1, 10), Fraction(1, 27), Fraction(2, 81),
+    ]
+
+    @pytest.mark.parametrize("alpha", [SQRT2_4, SQRT3_8])
+    @pytest.mark.parametrize("delta", RATIONAL)
+    def test_rational_delta(self, alpha, delta):
+        assert AtomProfile(alpha).depth_for(delta) == shared_reference(
+            alpha
+        ).depth_for(delta)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([SQRT2_4, SQRT3_8]),
+        st.fractions(min_value=-1, max_value=1, max_denominator=40),
+        st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=40),
+    )
+    def test_same_field_delta(self, alpha, a, b):
+        delta = QuadSurd(a, b, alpha.d)
+        assume(delta.sign() > 0 and Fraction(1, 40) < delta)
+        assert AtomProfile(alpha).depth_for(delta) == shared_reference(
+            alpha
+        ).depth_for(delta)
+
+    @pytest.mark.parametrize("alpha", [SQRT2_4, SQRT3_8])
+    def test_delta_equal_to_a_recorded_bound(self, alpha):
+        # the test is strict: a delta equal to depth k's bound fails at k
+        prof, ref = AtomProfile(alpha), shared_reference(alpha)
+        for k in range(1, 13):
+            for delta in (prof.diameter(k), prof.cylinder_diameter(k)):
+                got = AtomProfile(alpha).depth_for(delta)
+                assert got == prof.depth_for(delta) == ref.depth_for(delta)
+                if delta <= Fraction(1, 2):
+                    assert got > k
+
+    def test_other_field_delta_raises(self):
+        prof = AtomProfile(SQRT3_8)
+        for delta in (QuadSurd(0, Fraction(1, 9), 2), QuadSurd(Fraction(1, 3), 1, 5)):
+            with pytest.raises(MixedFieldError):
+                prof.depth_for(delta)
 
 
 class TestAtomProfileState:

@@ -98,8 +98,44 @@ class TestArithmetic:
     def test_mixed_field_rejected(self):
         with pytest.raises(MixedFieldError):
             SQRT2 + SQRT3
-        with pytest.raises(MixedFieldError):
-            SQRT2 < SQRT3
+        for x, y in ((SQRT2, SQRT3), (QuadSurd(1, 1, 2), QuadSurd(1, 1, 3))):
+            for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+                with pytest.raises(MixedFieldError):
+                    getattr(x, op)(y)
+
+    @given(
+        st.one_of(
+            st.tuples(surds(7), surds(7)),
+            st.tuples(surds(2), rationals),
+            st.tuples(rationals, surds(3)),
+            st.tuples(surds(5), rationals.map(QuadSurd)),
+            st.tuples(rationals.map(QuadSurd), rationals),
+            surds(13).map(lambda x: (x, QuadSurd(x.a, x.b, x.d))),
+            rationals.map(lambda q: (QuadSurd(q), q)),
+            st.integers(-8, 8).map(lambda n: (QuadSurd(n, 1, 2), n)),
+        )
+    )
+    def test_order_agrees_with_sign_of_difference(self, pair):
+        x, y = pair
+        sign = (x - y).sign()
+        assert (x < y, x <= y, x > y, x >= y) == (
+            sign < 0, sign <= 0, sign > 0, sign >= 0
+        )
+        if isinstance(y, QuadSurd):
+            assert (y < x, y >= x) == (sign > 0, sign <= 0)
+        else:
+            # the reflected operators of int and Fraction
+            assert (y < x, y <= x, y > x, y >= x) == (
+                sign > 0, sign >= 0, sign < 0, sign <= 0
+            )
+
+    def test_order_rejects_non_numbers(self):
+        for other in (1.5, "1", None):
+            for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+                with pytest.raises(TypeError):
+                    getattr(SQRT2, op)(other)
+            with pytest.raises(TypeError):
+                SQRT2 < other
 
     def test_rational_bridges_fields(self):
         assert QuadSurd(1, 0, 2) + SQRT3 == QuadSurd(1, 1, 3)
