@@ -19,6 +19,8 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from gehman.chaoscan import (
     VERDICT_LY,
     certified_b_distality,
@@ -270,7 +272,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if n < 0:
         raise SpecError("symbol count must be nonnegative")
     stream = parse_stream_spec(args.spec)
-    _emit(args, stream.word(n) + "\n" if n else "")
+    # one buffer for the word and its newline, so the text is not copied again
+    text = np.empty(n + 1, dtype=np.uint8)
+    np.add(stream.array(n), ord("0"), out=text[:n])
+    text[n] = ord("\n")
+    _emit(args, str(text, "ascii") if n else "")
     return EXIT_OK
 
 

@@ -7,12 +7,16 @@ Symbol indices are 1-based in every public contract (symbol i describes
 the orbit point after i-1 rotation steps); internal buffers are 0-based
 uint8 arrays.
 
-Generation is exact and uses no float: each piece reduces its start
-point and the angle once, exactly, to 64-bit fixed-point floors, steps
-the orbit in wrapping uint64 arithmetic, and decides exactly, point by
-point, every symbol whose accumulated rounding window reaches the cut
-0 or 1/4.  An orbit point that hits 0 or 1/4 exactly raises
-:class:`CutPointCollision` instead of silently picking a side.
+Generation is exact and uses no float.  The angle is reduced once per
+coding, and each piece's start point once per piece, exactly, to 64-bit
+fixed-point floors; the orbit is stepped in wrapping uint64 arithmetic.
+Before it steps a piece, the generator counts, exactly and with two
+floor sums, the points whose accumulated rounding window may reach the
+cut 0 or 1/4.  A piece with none, which is nearly every piece, costs
+one add and one compare per symbol; in a piece with some, each point
+whose window does reach a cut is decided exactly.  An orbit point that
+hits 0 or 1/4 exactly raises :class:`CutPointCollision` instead of
+silently picking a side.
 """
 
 from __future__ import annotations
@@ -25,7 +29,14 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from gehman.exactnum import QuadSurd, mod1, rotate, surd_floor, surd_sign_int
+from gehman.exactnum import (
+    QuadSurd,
+    floor_sum,
+    mod1,
+    rotate,
+    surd_floor,
+    surd_sign_int,
+)
 
 _CHUNK = 1 << 15
 _BLOCK = 1 << 15  # symbols per cache-sized block of a fill
@@ -110,6 +121,18 @@ class SymbolStream:
         return f"<{type(self).__name__} {self.label}>"
 
 
+def _near_cuts(x0: int, a: int, n: int) -> int:
+    """Number of j < n with (x0 + j*a + n) mod 2^62 <= n, for n < 2^62.
+
+    For t = x0 + j*a + n, floor(t/2^62) - floor((t - n - 1)/2^62) is 1
+    when t mod 2^62 <= n and 0 otherwise, so the count is a difference
+    of two floor sums, with a and t taken mod 2^62.
+    """
+    m = 1 << 62
+    a, b = a % m, (x0 + n) % m
+    return floor_sum(n, m, a, b) - floor_sum(n, m, a, b - n - 1)
+
+
 class RotationCoding(SymbolStream):
     """Itinerary of ``start`` under rotation by irrational ``alpha``.
 
@@ -142,6 +165,7 @@ class RotationCoding(SymbolStream):
         self._v0 = int(start_q.b * m)
         self._du = int(alpha_q.a * m)
         self._dv = int(alpha_q.b * m)
+        self._a = surd_floor(self._du << 64, self._dv << 64, d, m) % 2**64
         super().__init__(label or f"pt:{start_q}@{alpha_q}")
 
     # -- generation -------------------------------------------------------
@@ -159,36 +183,37 @@ class RotationCoding(SymbolStream):
             lo = hi
 
     def _fill(self, out: np.ndarray, lo: int) -> None:
-        # Fixed point with 64 fraction bits.  x0 and a are the floors of
-        # 2^64 times the point at lo and the angle, reduced mod 1, so
-        # uint64 arithmetic, which wraps mod 2^64, gives x_j = x0 + j*a
-        # with the true point at x_j + delta, 0 <= delta < j + 1 units.
-        # A point whose window [x_j, x_j + w] holds a cut (0 or 2^62),
-        # w the piece length, is decided exactly.  The piece is done in
-        # blocks, so x and the screen stay in cache.
-        d, den, n = self._d, self._den, len(out)
+        # Fixed point with 64 fraction bits.  x0 and a (kept from
+        # __init__) are the floors of 2^64 times the point at lo and the
+        # angle, reduced mod 1, so uint64 arithmetic, which wraps mod
+        # 2^64, gives x_j = x0 + j*a with the true point at x_j + delta,
+        # 0 <= delta < j + 1 units.  A point whose window [x_j, x_j + n]
+        # holds a cut (0 or 2^62), n the piece length, is decided
+        # exactly.  Each such point has (x_j + n) mod 2^62 <= n, and
+        # _near_cuts counts those exactly, so a piece with none needs no
+        # screen: per block, one add of size*a mod 2^64 and one compare
+        # straight into the store.  Blocks keep x in cache.
+        d, den, n, a = self._d, self._den, len(out), self._a
         u, v = self._u0 + lo * self._du, self._v0 + lo * self._dv
         x0 = surd_floor(u << 64, v << 64, d, den) % 2**64
-        a = surd_floor(self._du << 64, self._dv << 64, d, den) % 2**64
+        near = _near_cuts(x0, a, n) > 0
         size = min(n, _BLOCK)
-        ramp = np.arange(size, dtype=np.uint64)
-        ramp *= np.uint64(a)
-        x = np.empty(size, dtype=np.uint64)
-        risky = np.empty(size, dtype=bool)
+        x = np.arange(size, dtype=np.uint64)
+        x *= np.uint64(a)
+        x += np.uint64(x0)
+        step = np.uint64(size * a % 2**64)
         w = np.uint64(n)
         sym = out.view(bool)
         for b0 in range(0, n, size):
-            m = min(size, n - b0)
-            xb, rb = x[:m], risky[:m]
-            np.add(ramp[:m], np.uint64((x0 + b0 * a) % 2**64), out=xb)
-            np.greater_equal(xb, _QUARTER, out=sym[b0:b0 + m])
-            # (x + w) mod 2^64, with the bit of 2^62 cleared, is at most
-            # w iff x lies in [-w, 0] or [2^62 - w, 2^62] mod 2^64
-            xb += w
-            xb &= _NOT_QUARTER
-            np.less_equal(xb, w, out=rb)
-            if rb.any():
-                for j in np.flatnonzero(rb).tolist():
+            xb = x[:min(size, n - b0)]
+            if b0:
+                xb += step
+            np.greater_equal(xb, _QUARTER, out=sym[b0:b0 + len(xb)])
+            if near:
+                # (x + n) mod 2^64, with the bit of 2^62 cleared, is at
+                # most n iff x lies in [-n, 0] or [2^62 - n, 2^62]
+                screen = (xb + w) & _NOT_QUARTER
+                for j in np.flatnonzero(screen <= w).tolist():
                     out[b0 + j] = self._symbol_at(lo + b0 + j)
 
     def _symbol_at(self, i: int) -> int:

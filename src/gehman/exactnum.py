@@ -13,7 +13,8 @@ its rounding.
 All circle helpers (:func:`mod1`, :func:`rotate`,
 :func:`circle_distance`) treat a "circle point" as a QuadSurd reduced
 into [0, 1).  :func:`surd_floor` is the one floor of a surd; every
-reduction mod 1 goes through it.
+reduction mod 1 goes through it.  :func:`floor_sum` sums the floors
+along an integer line, which counts lattice points in O(log m) steps.
 
 Values from two genuinely different irrational fields are never
 comparable; such a request raises :class:`MixedFieldError`.  Rationals
@@ -64,6 +65,26 @@ def surd_floor(u: int, v: int, d: int, m: int) -> int:
     if v < 0:
         root = -root - (root * root != v * v * d)
     return (u + root) // m
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*j + b)/m) over 0 <= j < n, for n >= 0 and m >= 1.
+
+    Euclid-like reduction (Graham, Knuth and Patashnik, Concrete
+    Mathematics, section 3.5): take the whole parts of a/m and b/m out
+    of the sum, then count the same lattice points under the line with
+    the axes swapped, m and a trading places.  Each round is one integer
+    division, so the cost is O(log m) rounds for any integers a and b.
+    """
+    total = 0
+    while True:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
 
 
 def _sign(a: Fraction, b: Fraction, d: int) -> int:

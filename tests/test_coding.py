@@ -25,6 +25,7 @@ from gehman.coding import (
     PeriodicStream,
     RotationCoding,
     WordStream,
+    _near_cuts,
     atom_profile,
     dist,
     factor_count_profile,
@@ -239,6 +240,85 @@ class TestCertifiedScreen:
             rc.symbol(k + 1)
         assert ei.value.index == k + 1
         assert len(rc._buf) == k
+
+
+def piece_flags(x0: int, a: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of a piece: (x_j + n) mod 2^62 <= n, and the per-point screen.
+
+    The screen is ((x_j + n) mod 2^64, bit 62 cleared) <= n: the window
+    [x_j, x_j + n] reaches 0 or 2^62.
+    """
+    y = np.arange(n, dtype=np.uint64)
+    y *= np.uint64(a)
+    y += np.uint64((x0 + n) % 2**64)
+    near = (y & np.uint64(2**62 - 1)) <= n
+    screen = (y & ~np.uint64(2**62)) <= n
+    return near, screen
+
+
+# floor(2^64 (sqrt(2) - 1)): consecutive points of a short piece lie far apart
+SPREAD = isqrt(2 * 2**128) - 2**64
+
+
+@st.composite
+def pieces(draw):
+    """(x0, a, n) of a piece, half of them with a point put near a cut."""
+    n = draw(st.integers(0, 3000))
+    a = draw(st.integers(0, 2**64 - 1))
+    x0 = draw(st.integers(0, 2**64 - 1))
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        cut = draw(st.integers(0, 3)) << 62
+        x0 = (cut + draw(st.integers(-n - 2, 2)) - j * a) % 2**64
+    return x0, a, n
+
+
+class TestNearCutCount:
+    """The per-piece count against the per-point predicate it counts."""
+
+    @settings(max_examples=200)
+    @given(pieces())
+    def test_count_against_brute_force(self, piece):
+        near, screen = piece_flags(*piece)
+        assert _near_cuts(*piece) == int(near.sum())
+        assert not (screen & ~near).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 300, _BLOCK + 1, 4 * _CHUNK])
+    @pytest.mark.parametrize("at", ["first", "last"])
+    @pytest.mark.parametrize("cut", [0, 2**62])
+    @pytest.mark.parametrize("end", ["low", "high"])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_one_point_at_the_window_ends(self, n, at, cut, end, inside):
+        # the window [x_j, x_j + n] reaches the cut at its ends when
+        # x_j + n = cut (low) and x_j = cut (high); one unit further out
+        # it misses the cut
+        j = 0 if at == "first" else n - 1
+        if end == "low":
+            xj = cut - n - (not inside)
+        else:
+            xj = cut + (not inside)
+        x0 = (xj - j * SPREAD) % 2**64
+        near, screen = piece_flags(x0, SPREAD, n)
+        assert _near_cuts(x0, SPREAD, n) == int(near.sum()) == int(inside)
+        assert near[j] == screen[j] == inside
+
+    @pytest.mark.parametrize("code", ["000", "101"])
+    def test_clean_default_piece_takes_no_exact_step(self, monkeypatch, code):
+        streams = [sturmian_stream(SQRT2_4), a_stream(code), b_stream(code)]
+        want = [rc.prefix(1_000_000) for rc in streams]
+
+        def refuse(self, i):
+            raise AssertionError(f"exact step at index {i}")
+
+        monkeypatch.setattr(RotationCoding, "_symbol_at", refuse)
+        for rc, w in zip(streams, want):
+            fresh = RotationCoding(rc.start, rc.alpha)
+            assert fresh.prefix(1_000_000) == w
+        # a point one unit above the cut 1/4 does take it
+        alpha = QuadSurd(isqrt(2 * 10**24) + Fraction(1, 3), -(10**12), 2)
+        start = mod1(Fraction(1, 4) + Fraction(1, 2**64) - 7 * alpha)
+        with pytest.raises(AssertionError, match="exact step"):
+            RotationCoding(start, alpha).prefix(10)
 
 
 EDGE_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _CHUNK + 1]

@@ -3,14 +3,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gehman.exactnum import (
     MixedFieldError,
     QuadSurd,
     circle_distance,
+    floor_sum,
     mod1,
     parse_surd,
     rotate,
@@ -174,6 +176,43 @@ class TestArithmetic:
         assert surd_sign_int(2, -1, 2) == 1
         assert surd_sign_int(1, -1, 2) == -1
         assert surd_sign_int(0, 0, 7) == 0
+
+
+def brute_floor_sum(n, m, a, b):
+    return sum((a * j + b) // m for j in range(n))
+
+
+class TestFloorSum:
+    @given(
+        st.integers(0, 200),
+        st.one_of(st.integers(1, 50), st.sampled_from([2**62, 2**64]),
+                  st.integers(1, 2**70)),
+        st.integers(-(2**72), 2**72),
+        st.integers(-(2**72), 2**72),
+    )
+    def test_against_brute_force(self, n, m, a, b):
+        assert floor_sum(n, m, a, b) == brute_floor_sum(n, m, a, b)
+
+    @pytest.mark.parametrize("m", [1, 7, 2**62, 2**64])
+    def test_edges(self, m):
+        # a and b at, above and below multiples of m
+        near = [0, 5, m, 3 * m + 1, -2 * m + 3, -1]
+        for a in near:
+            for b in near:
+                for n in (0, 1, 2, 97):
+                    assert floor_sum(n, m, a, b) == brute_floor_sum(n, m, a, b)
+
+    def test_empty_and_single(self):
+        assert floor_sum(0, 2**62, 2**63 + 1, 5 * 2**62) == 0
+        assert floor_sum(1, 2**64, 2**70, 3 * 2**64 + 1) == 3
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+    def test_long_pieces_against_numpy(self, a, b):
+        # n = 2^17 terms at m = 2^62, the size of one generation piece
+        n, m = 1 << 17, 2**62
+        j = np.arange(n, dtype=object)
+        assert floor_sum(n, m, a, b) == int(((a * j + b) // m).sum())
 
 
 class TestCircle:
