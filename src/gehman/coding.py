@@ -117,6 +117,10 @@ class SymbolStream:
             raise ValueError("symbol indices are 1-based")
         return int(self.array(i)[i - 1])
 
+    def _window_spectrum(self, n: int, horizon: int, tail_start: int) -> _Spectrum:
+        """Window spectrum of symbols tail_start+1..horizon at length n."""
+        return _array_spectrum(self.array(horizon)[tail_start:], n)
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label}>"
 
@@ -427,25 +431,35 @@ def _run_starts(v: np.ndarray) -> np.ndarray:
     return np.flatnonzero(edge)
 
 
+def _array_spectrum(arr: np.ndarray, n: int) -> _Spectrum:
+    """Pack, sort and count the length-n windows of one symbol array."""
+    w = _packed_windows(arr, n)
+    w.sort()  # in place: w is a fresh buffer
+    starts = _run_starts(w)
+    values, counts = w[starts], np.diff(starts, append=w.size)
+    tail = arr[max(arr.shape[0] - n + 1, 0):].copy()
+    return _Spectrum(n, values, counts, tail)
+
+
 def _spectrum_for(x: WordLike, n: int, horizon: int, tail_start: int) -> _Spectrum:
     """Window spectrum of symbols tail_start+1..horizon at length >= n.
 
+    A stream builds it with :meth:`SymbolStream._window_spectrum`, which
+    packs its symbol range and which a diamond stream overrides to count
+    the windows from its blocks without writing the interleaving out.
     A stream keeps one spectrum per (horizon, tail_start); a longer
     request rebuilds it at twice its length or more (at most 64 and the
-    range length), so lengths asked shortest first repack a few times.
+    range length), so lengths asked shortest first rebuild a few times.
+    An array or text word is packed afresh on every call.
     """
-    memo = x._spectra if isinstance(x, SymbolStream) else {}
-    spec = memo.get((horizon, tail_start))
+    if not isinstance(x, SymbolStream):
+        return _array_spectrum(_bits_for(x, horizon)[tail_start:], n)
+    spec = x._spectra.get((horizon, tail_start))
     if spec is None or not 1 <= n <= spec.n_max:
-        arr = _bits_for(x, horizon)[tail_start:]
         if spec is not None and n > spec.n_max:
-            n = max(n, min(2 * spec.n_max, 64, arr.shape[0]))
-        w = _packed_windows(arr, n)
-        w.sort()  # in place: w is a fresh buffer
-        starts = _run_starts(w)
-        values, counts = w[starts], np.diff(starts, append=w.size)
-        tail = arr[max(arr.shape[0] - n + 1, 0):].copy()
-        spec = memo[horizon, tail_start] = _Spectrum(n, values, counts, tail)
+            n = max(n, min(2 * spec.n_max, 64, horizon - tail_start))
+        spec = x._window_spectrum(n, horizon, tail_start)
+        x._spectra[horizon, tail_start] = spec
     return spec
 
 

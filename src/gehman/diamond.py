@@ -3,7 +3,8 @@
 ``diamond(a, b)`` lays out blocks a_1 b_1, a_1 a_2 b_1 b_2, ... : block k
 is the length-k prefix of ``a`` followed by the length-k prefix of ``b``.
 Block k occupies global positions k(k-1)+1 .. k(k+1) (1-based), which
-gives O(1) random access through an integer square root.
+gives O(1) random access through an integer square root.  Window
+spectra are counted from the blocks, without writing the stream out.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gehman.coding import SymbolStream, factors, recurrent_factors
+from gehman.coding import (
+    SymbolStream,
+    _array_spectrum,
+    _packed_windows,
+    _run_starts,
+    _Spectrum,
+    factors,
+    recurrent_factors,
+)
 
 
 class DecodedPosition(NamedTuple):
@@ -48,6 +57,12 @@ def block_start(k: int) -> int:
     return k * (k - 1)
 
 
+def _blocks(a: np.ndarray, b: np.ndarray, first: int, last: int, out=None) -> np.ndarray:
+    """Blocks first..last of the interleaving, from source prefixes a, b."""
+    parts = [p for k in range(first, last + 1) for p in (a[:k], b[:k])]
+    return np.concatenate(parts, out=out)
+
+
 class DiamondStream(SymbolStream):
     """Interleaving a_1 b_1 a_1 a_2 b_1 b_2 ... of two source streams."""
 
@@ -62,12 +77,82 @@ class DiamondStream(SymbolStream):
         last = position_decode(n).block
         a = self.first.array(last)
         b = self.second.array(last)
-        blocks = range(self._next_block, last + 1)
         end = last * (last + 1)
-        parts = [p for k in blocks for p in (a[:k], b[:k])]
-        np.concatenate(parts, out=self._reserve(end))
+        _blocks(a, b, self._next_block, last, out=self._reserve(end))
         self._commit(end)
         self._next_block = last + 1
+
+    def _segment(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        # symbols lo+1..hi: a slice of the buffer when it holds them,
+        # else cut from the blocks that cover them
+        if len(self._buf) >= hi or lo >= hi:
+            return self._buf[lo:hi]
+        first = position_decode(lo + 1).block
+        start = block_start(first)
+        return _blocks(a, b, first, position_decode(hi).block)[lo - start:hi - start]
+
+    def _window_spectrum(self, n: int, horizon: int, tail_start: int) -> _Spectrum:
+        """Window spectrum of symbols tail_start+1..horizon, from the blocks.
+
+        Block k is a[:k] b[:k] (0-based slices).  For k >= n, the n
+        windows that start in block k are the a-windows a[j:j+n] and the
+        b-windows b[j:j+n] with j + n <= k, and 2(n-1) crossovers: for
+        L = 1..n-1, the last L symbols of a[:k] then b[:n-L], and the
+        last L symbols of b[:k] then a[:n-L], which opens block k+1.  So
+        over the blocks k_lo..k_hi, with k_lo = max(n, the first block
+        that starts at or after tail_start) and k_hi the last block
+        whose windows all end by the horizon (k(k+1) + n - 1 <= horizon),
+        the a-window at j occurs k_hi - max(k_lo, j+n) + 1 times, and so
+        does the b-window at j.  A crossover of block k is the low L bits
+        of the packed a-window (b-window) that ends at k, shifted left by
+        n-L, ORed with the packed b-prefix (a-prefix) of length n-L.
+
+        The windows that start before block k_lo or after block k_hi are
+        packed from raw segments of the interleaving, cut from the same
+        blocks :meth:`_extend_to` writes (or sliced from the buffer when
+        it holds them); the last segment also gives ``tail``.  When
+        k_hi < k_lo, or n is not a packable length, the whole range is
+        packed raw.  The sources are asked for the prefix that
+        ``array(horizon)`` asks them for, so a short or colliding source
+        raises the same error.  The weighted values are merged by one
+        sort with the weights of each run summed.
+        """
+        if horizon < 1:
+            return super()._window_spectrum(n, horizon, tail_start)
+        last = position_decode(horizon).block
+        a = self.first.array(last)
+        b = self.second.array(last)
+        k_lo = max(n, isqrt(max(tail_start, 1)))
+        while block_start(k_lo) < tail_start:
+            k_lo += 1
+        edge = horizon - n + 1
+        k_hi = isqrt(max(edge, 0))
+        if k_hi * (k_hi + 1) > edge:
+            k_hi -= 1
+        if k_hi < k_lo or not 1 <= n <= 64:
+            return _array_spectrum(self._segment(a, b, tail_start, horizon), n)
+        aw = _packed_windows(a[:k_hi], n)
+        bw = _packed_windows(b[:k_hi], n)
+        j = np.arange(aw.size)
+        weight = k_hi + 1 - np.maximum(k_lo, j + n)
+        cut = np.arange(1, n, dtype=np.uint64)
+        mask = (np.uint64(1) << cut) - np.uint64(1)
+        left = np.uint64(n) - cut
+        ends = slice(k_lo - n, k_hi - n + 1)
+        ab = ((aw[ends, None] & mask) << left) | (bw[0] >> cut)
+        ba = ((bw[ends, None] & mask) << left) | (aw[0] >> cut)
+        head = self._segment(a, b, tail_start, block_start(k_lo) + n - 1)
+        rest = self._segment(a, b, k_hi * (k_hi + 1), horizon)
+        once = [_packed_windows(head, n), ab.ravel(), ba.ravel(), _packed_windows(rest, n)]
+        values = np.concatenate([aw, bw, *once])
+        ones = np.ones(sum(w.size for w in once), dtype=weight.dtype)
+        weights = np.concatenate([weight, weight, ones])
+        order = np.argsort(values)
+        values = values[order]
+        starts = _run_starts(values)
+        counts = np.add.reduceat(weights[order], starts)
+        tail = rest[rest.shape[0] - n + 1:].copy()
+        return _Spectrum(n, values[starts], counts, tail)
 
     def symbol(self, i: int) -> int:
         # O(1) index arithmetic plus one source lookup; the memoized

@@ -1,6 +1,7 @@
 """Rotation codings, word machinery, and refinement atoms."""
 
 import functools
+import importlib
 import random
 import re
 from bisect import insort
@@ -24,6 +25,7 @@ from gehman.coding import (
     _unpack_words,
     PeriodicStream,
     RotationCoding,
+    SymbolStream,
     WordStream,
     _near_cuts,
     atom_profile,
@@ -44,7 +46,7 @@ from gehman.exactnum import (
     surd_sign_int,
 )
 from gehman.dendrite import family_model, no_isolated_points_check
-from gehman.diamond import diamond
+from gehman.diamond import DiamondStream, block_start, diamond
 from gehman.family import FamilyConfig, a_stream, b_stream, x_stream
 
 SQRT2_4 = QuadSurd(0, Fraction(1, 4), 2)
@@ -544,16 +546,16 @@ def counted_words(word: str, n: int, start: int = 0, min_count: int = 1) -> set[
 
 
 @pytest.fixture
-def pack_calls(monkeypatch):
-    """Lengths passed to _packed_windows while the test runs."""
-    calls = []
+def spectrum_builds(monkeypatch):
+    """(label, n) of each window spectrum a stream builds while the test runs."""
+    builds = []
+    for cls in (SymbolStream, DiamondStream):
+        def counted(self, n, horizon, tail_start, _build=cls._window_spectrum):
+            builds.append((self.label, n))
+            return _build(self, n, horizon, tail_start)
 
-    def counted(arr, n):
-        calls.append(n)
-        return _packed_windows(arr, n)
-
-    monkeypatch.setattr("gehman.coding._packed_windows", counted)
-    return calls
+        monkeypatch.setattr(cls, "_window_spectrum", counted)
+    return builds
 
 
 class TestWindowSpectrum:
@@ -587,7 +589,7 @@ class TestWindowSpectrum:
         assert factor_count_profile(WordStream(word), n_max, len(word)) == want
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-    def test_length_orders(self, order, pack_calls):
+    def test_length_orders(self, order, spectrum_builds):
         word = x_stream("0110").word(3000)
         stream = WordStream(word)
         lengths = list(range(1, 25))
@@ -606,7 +608,7 @@ class TestWindowSpectrum:
             if n > held:
                 held = max(n, min(2 * held, 64))
                 builds.append(held)
-        assert pack_calls == [n for n in builds for _ in range(2)]
+        assert spectrum_builds == [("word", n) for n in builds for _ in range(2)]
 
     def test_longest_length_needs_no_patch(self):
         word = x_stream("0110").word(500)
@@ -689,22 +691,174 @@ class TestWindowSpectrum:
                 call()
             assert str(err.value) == message
 
-    def test_omega_packs_each_stream_once(self, pack_calls):
+    def test_omega_packs_each_stream_once(self, spectrum_builds):
         # a horizon no other test uses, so every spectrum is built here
+        horizon = 200_003
         rep = omega_scrambled_check(
-            "0011", "1001", range(5, 21), horizon=200_003, z_horizon=9_001
+            "0011", "1001", range(5, 21), horizon=horizon, z_horizon=9_001
         )
         assert [r.n for r in rep.rows] == list(range(5, 21))
         # x_0011, x_1001, then b_0011, b_1001, each at n = 20
-        assert pack_calls == [20, 20, 20, 20]
+        labels = ["x:0011", "x:1001", "b:0011", "b:1001"]
+        assert spectrum_builds == [(label, 20) for label in labels]
+        # the x-spectra are counted from the diamond blocks, so neither
+        # interleaving is written out to the horizon
+        for code in ("0011", "1001"):
+            assert len(x_stream(code)._buf) < horizon
 
-    def test_dendrite_check_lengths_shortest_first(self, pack_calls):
-        # The oracle asks lengths 1..15 in order; each x-stream repacks
+    def test_dendrite_check_lengths_shortest_first(self, spectrum_builds):
+        # The oracle asks lengths 1..15 in order; each x-stream rebuilds
         # only at 1, 2, 4, 8 and 16.  A horizon no other test uses.
         model = family_model(["0101", "1110"], horizon=7_003)
         rep = no_isolated_points_check(model, 5, 10)
         assert rep.accepted_count > 0
-        assert pack_calls == [n for n in (1, 2, 4, 8, 16) for _ in range(2)]
+        assert spectrum_builds == [
+            (label, n) for n in (1, 2, 4, 8, 16) for label in ("x:0101", "x:1110")
+        ]
+
+
+def diamond_of(u: str, v: str) -> DiamondStream:
+    return DiamondStream(WordStream(u), WordStream(v))
+
+
+def assert_same_spectrum(got, want):
+    assert got.n_max == want.n_max
+    for field in ("values", "counts", "tail"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype
+        assert g.tolist() == w.tolist()
+
+
+@st.composite
+def diamond_ranges(draw):
+    """Source words, a horizon on or next to a block edge, a tail start
+    at 0, at a block start or inside a block, and a length in 1..64."""
+    size = draw(st.integers(1, 80))
+    u = draw(st.text(alphabet="01", min_size=size, max_size=size))
+    v = draw(st.text(alphabet="01", min_size=size, max_size=size))
+    k = draw(st.integers(1, size))
+    edge = draw(st.sampled_from([k * (k - 1), k * (k + 1)]))
+    horizon = min(max(edge + draw(st.integers(-1, 1)), 1), size * (size + 1))
+    j = draw(st.integers(1, k))
+    tail_start = draw(st.sampled_from([
+        0,
+        block_start(j),
+        block_start(j) + draw(st.integers(1, 2 * j - 1)) if j > 1 else 1,
+    ]))
+    # lengths up to the block size mostly take the block path
+    n = draw(st.integers(1, min(k, 64)) | st.integers(1, 64))
+    return u, v, horizon, min(tail_start, horizon), n
+
+
+@pytest.fixture
+def raw_packs(monkeypatch):
+    """Lengths of the whole ranges a diamond stream packs raw."""
+    packs = []
+    module = importlib.import_module("gehman.diamond")
+    build = module._array_spectrum
+    monkeypatch.setattr(module, "_array_spectrum", lambda arr, n: packs.append(n) or build(arr, n))
+    return packs
+
+
+class TestDiamondSpectrum:
+    """A diamond stream counts its windows from the blocks; the base
+    class packs the written-out interleaving.  Both give one spectrum."""
+
+    @staticmethod
+    def both(u, v, n, horizon, tail_start):
+        block = diamond_of(u, v)._window_spectrum(n, horizon, tail_start)
+        base = SymbolStream._window_spectrum(diamond_of(u, v), n, horizon, tail_start)
+        return block, base
+
+    @settings(max_examples=300)
+    @given(diamond_ranges())
+    def test_against_packed_interleaving(self, case):
+        u, v, horizon, tail_start, n = case
+        assert_same_spectrum(*self.both(u, v, n, horizon, tail_start))
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_every_length(self, n, raw_packs):
+        rng = random.Random(n)
+        u, v = ("".join(rng.choice("01") for _ in range(150)) for _ in "uv")
+        for horizon, tail_start in ((150 * 151, 0), (150 * 149 + 7, 9_001), (12_100, 110)):
+            assert_same_spectrum(*self.both(u, v, n, horizon, tail_start))
+        assert raw_packs == []  # every range holds blocks k >= n
+
+    @pytest.mark.parametrize("horizon, tail_start, n", [
+        (30, 0, 6),  # blocks 1..5 are shorter than n
+        (1, 0, 1),
+        (2, 1, 2),
+        (990, 935, 8),  # the range lies inside block 31
+        (992, 930, 3),  # the range starts in block 31, and block 31 ends late
+        (4_000, 3_900, 64),
+    ])
+    def test_short_range_fallback(self, horizon, tail_start, n, raw_packs):
+        rng = random.Random(horizon)
+        u, v = ("".join(rng.choice("01") for _ in range(64)) for _ in "uv")
+        assert_same_spectrum(*self.both(u, v, n, horizon, tail_start))
+        assert raw_packs == [n]  # the whole range is packed raw
+
+    def test_buffered_symbols_are_sliced(self):
+        rng = random.Random(5)
+        u, v = ("".join(rng.choice("01") for _ in range(90)) for _ in "uv")
+        x = diamond_of(u, v)
+        x.array(90 * 91)
+        for horizon, tail_start, n in ((8_000, 0, 20), (8_000, 4_001, 64), (50, 45, 3)):
+            got = x._window_spectrum(n, horizon, tail_start)
+            want = SymbolStream._window_spectrum(x, n, horizon, tail_start)
+            assert_same_spectrum(got, want)
+
+    @settings(max_examples=100)
+    @given(diamond_ranges(), st.integers(2, 6))
+    def test_factor_sets_against_counter(self, case, min_count):
+        u, v, horizon, tail_start, n = case
+        word = diamond_of(u, v).word(horizon)
+        n = min(n, horizon)
+        assert factors(diamond_of(u, v), n, horizon) == counted_words(word, n)
+        if tail_start + n <= horizon:
+            got = recurrent_factors(diamond_of(u, v), n, horizon, tail_start, min_count)
+            assert got == counted_words(word, n, tail_start, min_count)
+
+    def test_lengths_shortest_first(self, spectrum_builds):
+        rng = random.Random(11)
+        u, v = ("".join(rng.choice("01") for _ in range(100)) for _ in "uv")
+        horizon = 100 * 101 - 3
+        word = diamond_of(u, v).word(horizon)
+        x = diamond_of(u, v)
+        for n in range(1, 25):
+            assert factors(x, n, horizon) == counted_words(word, n)
+            got = recurrent_factors(x, n, horizon, 333, 3)
+            assert got == counted_words(word, n, 333, 3)
+        assert len(x._buf) == 0
+        label = x.label
+        want = [(label, n) for n in (1, 2, 4, 8, 16, 32) for _ in range(2)]
+        assert spectrum_builds == want
+
+    @pytest.mark.parametrize("short", ["a", "b", "both"])
+    def test_short_sources_raise_as_array(self, short):
+        # block 40 holds position 1_600, so array(1_600) asks each
+        # source for 40 symbols
+        u = "01" * (15 if short in ("a", "both") else 20)
+        v = "0011" * (8 if short in ("b", "both") else 10)
+        with pytest.raises(ValueError) as want:
+            diamond_of(u, v).array(1_600)
+        for n, tail_start in ((20, 16), (5, 1_590), (65, 0)):
+            with pytest.raises(ValueError) as got:
+                diamond_of(u, v)._window_spectrum(n, 1_600, tail_start)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError) as got:
+                recurrent_factors(diamond_of(u, v), n, 1_600, tail_start, 2)
+            assert str(got.value) == str(want.value)
+
+    def test_colliding_source_raises_as_array(self):
+        def x():
+            return DiamondStream(RotationCoding(mod1(-SQRT3_8), SQRT3_8), PeriodicStream("01"))
+
+        with pytest.raises(CutPointCollision) as want:
+            x().array(5_000)
+        with pytest.raises(CutPointCollision) as got:
+            factors(x(), 12, 5_000)
+        assert (got.value.index, str(got.value)) == (want.value.index, str(want.value))
 
 
 class TestAtoms:
