@@ -227,29 +227,41 @@ class _LcpRuns:
         return n, k if run[k] else cap
 
     def first_low(self, checkpoints: list[int], cap: int) -> list[int | None]:
-        """First n in [c, N] with lcp <= 2 at cap, for each c <= N, or None.
+        """First n in [c, N] with lcp <= 2 at cap, for each c, or None.
 
-        At a cap > 2 that is the first clear bit of R_3 at or after c,
-        which is max(c, e - 2) for the first mismatch e >= c: the lowest
-        set bit of the packed mismatches in c's word above c, or else in
-        the next word that has one.  Both are gathered for all c at
-        once, and an all-ones word past N + 2 ends the search.
+        At a cap <= 2 that is c itself.  At a cap > 2 it is the first
+        clear bit of R_3 at or after c, which is max(c, e - 2) for the
+        first mismatch e >= c.  Each c's search starts in its own word of
+        the packed mismatches and reads forward in slices that double in
+        length, so a long run of agreement costs O(log) slices and a
+        short one a single word; it stops at the word that holds shift
+        N + 2.
         """
-        if cap <= 2:
-            return list(checkpoints)
-        miss = np.append(self._miss[:(self.N + 2) // 64 + 1], ~np.uint64(0))
-        cs = np.array(checkpoints, dtype=np.uint64)
-        at = cs >> 6
-        heads = (miss[at] >> (cs & 63)).tolist()
-        later = np.flatnonzero(miss)
-        nxt = later[np.searchsorted(later, at, side="right")]
+        last = (self.N + 2) >> 6
         out = []
-        for c, head, k, w in zip(checkpoints, heads, nxt.tolist(),
-                                 miss[nxt].tolist()):
-            e = c + _lowest_bit(head) if head else 64 * k + _lowest_bit(w)
+        for c in checkpoints:
+            e = self._next_miss(c, last) if cap > 2 and c <= self.N else c
             n = max(c, e - 2)
             out.append(n if n <= self.N else None)
         return out
+
+    def _next_miss(self, c: int, last: int) -> int:
+        """First mismatch e >= c in the words up to ``last``, or else
+        the first shift past them."""
+        k = c >> 6
+        head = int(self._miss[k]) >> (c & 63)
+        if head:
+            return c + _lowest_bit(head)
+        span = 4
+        while k < last:
+            words = self._miss[k + 1:min(k + 1 + span, last + 1)]
+            hit = np.flatnonzero(words)
+            if hit.size:
+                k += 1 + int(hit[0])
+                return 64 * k + _lowest_bit(int(self._miss[k]))
+            k += words.size
+            span *= 2
+        return 64 * (last + 1)
 
 
 def _lowest_bit(w: int) -> int:

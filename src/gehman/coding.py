@@ -8,15 +8,16 @@ the orbit point after i-1 rotation steps); internal buffers are 0-based
 uint8 arrays.
 
 Generation is exact and uses no float.  The angle is reduced once per
-coding, and each piece's start point once per piece, exactly, to 64-bit
-fixed-point floors; the orbit is stepped in wrapping uint64 arithmetic.
-Before it steps a piece, the generator counts, exactly and with two
-floor sums, the points whose accumulated rounding window may reach the
-cut 0 or 1/4.  A piece with none, which is nearly every piece, costs
-one add and one compare per symbol; in a piece with some, each point
-whose window does reach a cut is decided exactly.  An orbit point that
-hits 0 or 1/4 exactly raises :class:`CutPointCollision` instead of
-silently picking a side.
+coding, and the start point of each extension of the prefix once,
+exactly, to 64-bit fixed-point floors; the orbit is stepped in wrapping
+uint64 arithmetic.  Before it steps an extension, the generator counts,
+exactly and with two floor sums, the points whose accumulated rounding
+window may reach the cut 0 or 1/4.  An extension with none, which is
+nearly every extension, costs one add and one compare per symbol; when
+there are some, halving counts find the blocks that hold them, and in
+those blocks each point whose window does reach a cut is decided
+exactly.  An orbit point that hits 0 or 1/4 exactly raises
+:class:`CutPointCollision` instead of silently picking a side.
 """
 
 from __future__ import annotations
@@ -125,16 +126,44 @@ class SymbolStream:
         return f"<{type(self).__name__} {self.label}>"
 
 
-def _near_cuts(x0: int, a: int, n: int) -> int:
-    """Number of j < n with (x0 + j*a + n) mod 2^62 <= n, for n < 2^62.
+def _near_cuts(x0: int, a: int, n: int, w: int | None = None) -> int:
+    """Number of j < n with (x0 + j*a + w) mod 2^62 <= w, for w < 2^62.
 
-    For t = x0 + j*a + n, floor(t/2^62) - floor((t - n - 1)/2^62) is 1
-    when t mod 2^62 <= n and 0 otherwise, so the count is a difference
-    of two floor sums, with a and t taken mod 2^62.
+    The window w defaults to n.  For t = x0 + j*a + w,
+    floor(t/2^62) - floor((t - w - 1)/2^62) is 1 when t mod 2^62 <= w
+    and 0 otherwise, so the count is a difference of two floor sums,
+    with a and t taken mod 2^62.
     """
     m = 1 << 62
-    a, b = a % m, (x0 + n) % m
-    return floor_sum(n, m, a, b) - floor_sum(n, m, a, b - n - 1)
+    w = n if w is None else w
+    a, b = a % m, (x0 + w) % m
+    return floor_sum(n, m, a, b) - floor_sum(n, m, a, b - w - 1)
+
+
+def _near_blocks(x0: int, a: int, n: int, size: int) -> list[int]:
+    """Starts of the size-blocks of [0, n) that hold a j counted by
+    ``_near_cuts(x0, a, n)``, in increasing order.
+
+    A block range with a nonzero count is halved: the left half is
+    counted with the window kept at n, and the right half holds the
+    rest, so only ranges that hold a counted j are split further.
+    """
+    total = _near_cuts(x0, a, n)
+    todo = [(0, -(-n // size), total)] if total else []
+    out = []
+    while todo:
+        k0, k1, count = todo.pop()
+        if k1 - k0 == 1:
+            out.append(k0 * size)
+            continue
+        mid = (k0 + k1) // 2
+        left = _near_cuts(x0 + k0 * size * a, a, (mid - k0) * size, n)
+        # the right half is pushed first, so the left half pops first
+        if count > left:
+            todo.append((mid, k1, count - left))
+        if left:
+            todo.append((k0, mid, left))
+    return out
 
 
 class RotationCoding(SymbolStream):
@@ -175,16 +204,12 @@ class RotationCoding(SymbolStream):
     # -- generation -------------------------------------------------------
 
     def _extend_to(self, n: int) -> None:
-        base = lo = len(self._buf)
+        # The extension is published only once every symbol in it is
+        # decided, so a collision leaves no undecided slot behind.
+        lo = len(self._buf)
         end = max(n, lo + _CHUNK)
-        slots = self._reserve(end)
-        # A piece is published only once every symbol in it is decided,
-        # so a collision leaves no undecided slot behind.
-        while lo < end:
-            hi = min(end, lo + 4 * _CHUNK)
-            self._fill(slots[lo - base:hi - base], lo)
-            self._commit(hi)
-            lo = hi
+        self._fill(self._reserve(end), lo)
+        self._commit(end)
 
     def _fill(self, out: np.ndarray, lo: int) -> None:
         # Fixed point with 64 fraction bits.  x0 and a (kept from
@@ -192,33 +217,39 @@ class RotationCoding(SymbolStream):
         # angle, reduced mod 1, so uint64 arithmetic, which wraps mod
         # 2^64, gives x_j = x0 + j*a with the true point at x_j + delta,
         # 0 <= delta < j + 1 units.  A point whose window [x_j, x_j + n]
-        # holds a cut (0 or 2^62), n the piece length, is decided
+        # holds a cut (0 or 2^62), n the length of the fill, is decided
         # exactly.  Each such point has (x_j + n) mod 2^62 <= n, and
-        # _near_cuts counts those exactly, so a piece with none needs no
-        # screen: per block, one add of size*a mod 2^64 and one compare
-        # straight into the store.  Blocks keep x in cache.
+        # _near_blocks finds, by exact counts, the blocks that hold
+        # those, so a block without one needs no screen: per block, one
+        # add of size*a mod 2^64 and one compare straight into the
+        # store.  Blocks keep x in cache.
         d, den, n, a = self._d, self._den, len(out), self._a
         u, v = self._u0 + lo * self._du, self._v0 + lo * self._dv
         x0 = surd_floor(u << 64, v << 64, d, den) % 2**64
-        near = _near_cuts(x0, a, n) > 0
         size = min(n, _BLOCK)
+        near = set(_near_blocks(x0, a, n, size))
         x = np.arange(size, dtype=np.uint64)
         x *= np.uint64(a)
         x += np.uint64(x0)
         step = np.uint64(size * a % 2**64)
-        w = np.uint64(n)
         sym = out.view(bool)
         for b0 in range(0, n, size):
             xb = x[:min(size, n - b0)]
             if b0:
                 xb += step
             np.greater_equal(xb, _QUARTER, out=sym[b0:b0 + len(xb)])
-            if near:
-                # (x + n) mod 2^64, with the bit of 2^62 cleared, is at
-                # most n iff x lies in [-n, 0] or [2^62 - n, 2^62]
-                screen = (xb + w) & _NOT_QUARTER
-                for j in np.flatnonzero(screen <= w).tolist():
-                    out[b0 + j] = self._symbol_at(lo + b0 + j)
+            if b0 in near:
+                self._decide_near(out[b0:b0 + len(xb)], xb, n, lo + b0)
+
+    def _decide_near(self, out: np.ndarray, x: np.ndarray, n: int, lo: int) -> None:
+        """Decide exactly the points of one block, symbols lo+1.., whose
+        window [x_j, x_j + n] reaches 0 or 2^62."""
+        # (x + n) mod 2^64, with the bit of 2^62 cleared, is at most n
+        # iff x lies in [-n, 0] or [2^62 - n, 2^62]
+        w = np.uint64(n)
+        screen = (x + w) & _NOT_QUARTER
+        for j in np.flatnonzero(screen <= w).tolist():
+            out[j] = self._symbol_at(lo + j)
 
     def _symbol_at(self, i: int) -> int:
         """Symbol i+1, decided exactly.

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gehman import chaoscan
@@ -107,6 +107,55 @@ class TestLcpSeries:
             lcp_series(PeriodicStream("0"), PeriodicStream("1"), 5, 0)
         with pytest.raises(ValueError, match="^input too short: fewer than 12 symbols$"):
             lcp_series(np.zeros(11, np.uint8), np.zeros(12, np.uint8), 8, 4)
+
+
+def first_low_by_series(ax, ay, N, cap, c):
+    """First n in [c, N] whose reference lcp at cap is <= 2, or None."""
+    if c > N:
+        return None
+    low = np.flatnonzero(reference_lcp_series(ax, ay, N, cap)[c:] <= 2)
+    return c + int(low[0]) if low.size else None
+
+
+class TestFirstLow:
+    """_LcpRuns.first_low against a scan of the reference lcp series."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_sparse_mismatches(self, data):
+        # few mismatches, so agreement runs span many words
+        N = data.draw(st.integers(0, 5000))
+        cap = data.draw(st.integers(1, 9))
+        length = N + cap
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        ax = rng.integers(0, 2, length, dtype=np.uint8)
+        ay = ax.copy()
+        flips = data.draw(st.sets(st.integers(0, length - 1), max_size=6))
+        ay[list(flips)] ^= 1
+        edges = st.integers(0, N // 64 + 1).flatmap(
+            lambda k: st.integers(max(0, 64 * k - 2), 64 * k + 1))
+        cs = data.draw(st.lists(st.one_of(st.integers(0, N + 70), edges), max_size=12))
+        got = chaoscan._LcpRuns(ax, ay, N, cap).first_low(cs, cap)
+        assert got == [first_low_by_series(ax, ay, N, cap, c) for c in cs]
+
+    @pytest.mark.parametrize("e", [None, 0, 2, 63, 64, 65, 64 * 40 + 5,
+                                   "N-2", "N", "N+2", "N+3"])
+    @pytest.mark.parametrize("cap", [2, 3, 30])
+    @pytest.mark.parametrize("N", [9_000, 64 * 140 - 2])
+    def test_one_mismatch(self, N, e, cap):
+        # one mismatch at e, or none: the shift found is max(c, e - 2)
+        # while that is <= N, else None; at N = 64k - 2 the mismatch at
+        # N + 2 is the first bit of a word
+        if isinstance(e, str):
+            e = N + int(e[1:] or 0)
+        ax = np.zeros(N + cap, dtype=np.uint8)
+        ay = ax.copy()
+        if e is not None and e < N + cap:
+            ay[e] = 1
+        cs = [0, 1, 62, 63, 64, 65, 127, 128, 4_000, N - 1, N, N + 1, N + 64, 10**6]
+        got = chaoscan._LcpRuns(ax, ay, N, cap).first_low(cs, cap)
+        assert got == [first_low_by_series(ax, ay, N, cap, c) for c in cs]
+        assert got[-3:] == [None] * 3
 
 
 class TestClassifyPair:

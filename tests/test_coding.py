@@ -27,6 +27,7 @@ from gehman.coding import (
     RotationCoding,
     SymbolStream,
     WordStream,
+    _near_blocks,
     _near_cuts,
     atom_profile,
     dist,
@@ -226,8 +227,8 @@ class TestCertifiedScreen:
 
     @pytest.mark.parametrize("cut", ["0", "1/4"])
     def test_collision_inside_a_multi_piece_extension(self, cut):
-        # symbol k+1 lies in the second piece of one extension; the
-        # first piece is published, the second is not
+        # symbol k+1 lies inside one extension, which is published only
+        # once every symbol in it is decided, so none of it is
         k = 200_000
         alpha = QuadSurd(isqrt(2 * 10**24), -(10**12), 2)
         rc = RotationCoding(mod1(Fraction(cut) - k * alpha), alpha)
@@ -235,7 +236,7 @@ class TestCertifiedScreen:
             with pytest.raises(CutPointCollision) as ei:
                 rc.word(k + 1)
             assert ei.value.index == k + 1
-            assert len(rc._buf) == 4 * _CHUNK
+            assert len(rc._buf) == 0
         assert rc.prefix(k) == reference_walk(rc.start, rc.alpha, 0, k)
         assert len(rc._buf) == k
         with pytest.raises(CutPointCollision) as ei:
@@ -321,6 +322,104 @@ class TestNearCutCount:
         start = mod1(Fraction(1, 4) + Fraction(1, 2**64) - 7 * alpha)
         with pytest.raises(AssertionError, match="exact step"):
             RotationCoding(start, alpha).prefix(10)
+
+
+def planted(a: int, x0: int) -> RotationCoding:
+    """The coding whose fill from index 0 has these x0 and a.
+
+    Start (x0 + 1/2)/2^64 and angle (a + theta)/2^64, theta irrational
+    in (0, 1), floor to x0 and a in 64-bit fixed point.
+    """
+    alpha = (a + theta(2)) * Fraction(1, 2**64)
+    return RotationCoding(Fraction(2 * x0 + 1, 2**65), alpha)
+
+
+def spy_screen(monkeypatch) -> list[int]:
+    """Record the first symbol index of every block that runs the screen."""
+    screened = []
+    real = RotationCoding._decide_near
+
+    def spy(self, out, x, n, lo):
+        screened.append(lo)
+        real(self, out, x, n, lo)
+
+    monkeypatch.setattr(RotationCoding, "_decide_near", spy)
+    return screened
+
+
+BIG = 1 << 20
+# (a, x0, extension length, starts of the blocks that hold near points)
+PLANTED = {
+    # x_0 = -n/2 lies just below the cut 0
+    "first": (SPREAD, -BIG // 2 % 2**64, BIG, [0]),
+    # x_{n-1} = -n/2
+    "last": (SPREAD, (-BIG // 2 - (BIG - 1) * SPREAD) % 2**64, BIG,
+             [BIG - _BLOCK]),
+    # a = 2^62 + n/2 + 1: x_j = -n at the last index of block 19 and
+    # x_{j+1} = 2^62 - n/2 + 1 at the first of block 20; the next point
+    # is 2 units past 2^63, the one before 3n/2 + 1 units below 2^62
+    "adjacent": (2**62 + BIG // 2 + 1,
+                 (-BIG - (20 * _BLOCK - 1) * (2**62 + BIG // 2 + 1)) % 2**64,
+                 BIG, [19 * _BLOCK, 20 * _BLOCK]),
+    # a = 2^62 + 2^43: x_j mod 2^62 is -n/2 + j*2^43, near 0 only at
+    # j = 0, 2^19 and 2^20, the last the one symbol of a partial block
+    "periodic": (2**62 + 2**43, -(BIG + 1) // 2 % 2**64, BIG + 1,
+                 [0, 16 * _BLOCK, 32 * _BLOCK]),
+}
+
+
+class TestNearBlocks:
+    """Halving counts find exactly the blocks that hold near points."""
+
+    @settings(max_examples=200)
+    @given(pieces(), st.data())
+    def test_sub_range_count_against_brute_force(self, piece, data):
+        # the window stays at the piece length n over any sub-range
+        x0, a, n = piece
+        j0 = data.draw(st.integers(0, n))
+        j1 = data.draw(st.integers(j0, n))
+        near, _ = piece_flags(x0, a, n)
+        assert _near_cuts(x0 + j0 * a, a, j1 - j0, n) == int(near[j0:j1].sum())
+
+    @settings(max_examples=200)
+    @given(pieces(), st.integers(1, 700))
+    def test_blocks_against_brute_force(self, piece, size):
+        x0, a, n = piece
+        near, _ = piece_flags(x0, a, n)
+        want = sorted({j - j % size for j in np.flatnonzero(near).tolist()})
+        assert _near_blocks(x0, a, n, size) == want
+
+    @pytest.mark.parametrize("case", PLANTED.values(), ids=PLANTED.keys())
+    def test_only_planted_blocks_run_the_screen(self, case, monkeypatch):
+        a, x0, n, blocks = case
+        near, _ = piece_flags(x0, a, n)
+        assert sorted({j - j % _BLOCK for j in np.flatnonzero(near).tolist()}) == blocks
+        assert _near_blocks(x0, a, n, _BLOCK) == blocks
+        rc = planted(a, x0)
+        screened = spy_screen(monkeypatch)
+        assert rc.prefix(n) == reference_walk(rc.start, rc.alpha, 0, n)
+        assert screened == blocks
+
+    @pytest.mark.parametrize("cut", ["0", "1/4"])
+    @pytest.mark.parametrize("block", [0, 17, 31])
+    def test_collision_raises_at_its_index(self, cut, block, monkeypatch):
+        # symbol k+1 sits exactly on the cut, in block `block` of one
+        # 2^20-symbol extension; the blocks up to it that hold near
+        # points, and no later one, run the screen, and none of the
+        # extension is published
+        k = block * _BLOCK + 4321
+        alpha = QuadSurd(isqrt(2 * 10**24), -(10**12), 2)
+        rc = RotationCoding(mod1(Fraction(cut) - k * alpha), alpha)
+        x0 = surd_floor(rc._u0 << 64, rc._v0 << 64, rc._d, rc._den) % 2**64
+        blocks = _near_blocks(x0, rc._a, BIG, _BLOCK)
+        assert block * _BLOCK in blocks
+        screened = spy_screen(monkeypatch)
+        msg = re.escape(f"cut-point collision at symbol index {k + 1} (point {cut})")
+        with pytest.raises(CutPointCollision, match=msg) as ei:
+            rc.array(BIG)
+        assert ei.value.index == k + 1
+        assert screened == [b for b in blocks if b <= block * _BLOCK]
+        assert len(rc._buf) == 0
 
 
 EDGE_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _CHUNK + 1]
