@@ -14,8 +14,8 @@ uint64 arithmetic.  Before it steps an extension, the generator counts,
 exactly and with two floor sums, the points whose accumulated rounding
 window may reach the cut 0 or 1/4.  An extension with none, which is
 nearly every extension, costs one add and one compare per symbol; when
-there are some, halving counts find the blocks that hold them, and in
-those blocks each point whose window does reach a cut is decided
+there are some, one count per block finds the blocks that hold them,
+and in those blocks each point whose window does reach a cut is decided
 exactly.  An orbit point that hits 0 or 1/4 exactly raises
 :class:`CutPointCollision` instead of silently picking a side.
 """
@@ -144,26 +144,13 @@ def _near_blocks(x0: int, a: int, n: int, size: int) -> list[int]:
     """Starts of the size-blocks of [0, n) that hold a j counted by
     ``_near_cuts(x0, a, n)``, in increasing order.
 
-    A block range with a nonzero count is halved: the left half is
-    counted with the window kept at n, and the right half holds the
-    rest, so only ranges that hold a counted j are split further.
+    Each block is counted with the window kept at n, and only when the
+    count over all of [0, n) is nonzero.
     """
-    total = _near_cuts(x0, a, n)
-    todo = [(0, -(-n // size), total)] if total else []
-    out = []
-    while todo:
-        k0, k1, count = todo.pop()
-        if k1 - k0 == 1:
-            out.append(k0 * size)
-            continue
-        mid = (k0 + k1) // 2
-        left = _near_cuts(x0 + k0 * size * a, a, (mid - k0) * size, n)
-        # the right half is pushed first, so the left half pops first
-        if count > left:
-            todo.append((mid, k1, count - left))
-        if left:
-            todo.append((k0, mid, left))
-    return out
+    if not _near_cuts(x0, a, n):
+        return []
+    return [b for b in range(0, n, size)
+            if _near_cuts(x0 + b * a, a, min(size, n - b), n)]
 
 
 class RotationCoding(SymbolStream):

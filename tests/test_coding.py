@@ -369,7 +369,7 @@ PLANTED = {
 
 
 class TestNearBlocks:
-    """Halving counts find exactly the blocks that hold near points."""
+    """Per-block counts find exactly the blocks that hold near points."""
 
     @settings(max_examples=200)
     @given(pieces(), st.data())

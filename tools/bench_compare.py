@@ -31,14 +31,10 @@ calls (the ``gen-fresh`` edge spec and a 1e6-symbol ``A:`` spec), each run
 ``ru_minflt``.  ``l5_identical`` holds, per command, whether every run
 of both sides gave the same exit code and stdout.  Each L5 run sits between two runs
 of the side's ``perfbench/worker.speed_probe()``, each in a fresh
-process, and ``probe_s`` keeps both.  ``side_probe_s`` is the median of
-every probe the side took over all the L5 commands, and
-``scaled_median_s`` is the median wall x ``PROBE_REF_S`` / (2 x
-``side_probe_s``): the reference speed of ``perfbench/run.py``, which
-scales each workload time by the sum of the probes its worker takes
-before and after its calls.  One probe swings from 0.08 to 0.19 s on a
-loaded 2-core host, so scaling each run by its own two probes moved an
-unchanged command's time by a third; the side's median probe does not.
+process, and ``scaled_median_s`` is the median of wall x ``PROBE_REF_S``
+/ (the sum of the two probes): the same scaling, and the same reference
+speed, as ``perfbench/run.py`` gives the workload times, whose worker
+also times the probe once before and once after its calls.
 """
 
 from __future__ import annotations
@@ -151,10 +147,9 @@ def _probe(side: Path) -> tuple[float, float]:
 def _l5(sides: dict[str, Path], here: Path) -> dict[str, list[dict]]:
     """Each default command L5_RUNS times per side, alternating the sides,
     each run between two speed probes."""
-    runs: dict[str, list] = {side: [] for side in sides}
+    out: dict[str, list[dict]] = {side: [] for side in sides}
     for args in L5_COMMANDS:
-        for side in sides:
-            runs[side].append((args, []))
+        runs: dict[str, list] = {side: [] for side in sides}
         for i in range(L5_RUNS):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
@@ -162,22 +157,18 @@ def _l5(sides: dict[str, Path], here: Path) -> dict[str, list[dict]]:
                     before, ref = _probe(here)
                     wall, faults, rc, digest = _cli(here, args)
                     after, _ = _probe(here)
-                runs[side][-1][1].append((wall, faults, rc, digest, [before, after]))
-    out: dict[str, list[dict]] = {}
-    for side, commands in runs.items():
-        probe = float(np.median([p for _, rs in commands for r in rs for p in r[4]]))
-        out[side] = []
-        for args, rs in commands:
-            walls, faults, exits, digests, probes = (list(col) for col in zip(*rs))
-            median = float(np.median(walls))
+                runs[side].append((wall, faults, rc, digest, [before, after],
+                                   wall * ref / (before + after)))
+        for side, rs in runs.items():
+            walls, faults, exits, digests, probes, scaled = (
+                list(col) for col in zip(*rs))
             out[side].append({
                 "command": "gehman " + " ".join(args),
                 "wall_s": walls,
                 "minflt": faults,
-                "median_s": median,
+                "median_s": float(np.median(walls)),
                 "probe_s": probes,
-                "side_probe_s": probe,
-                "scaled_median_s": median * ref / (2 * probe),
+                "scaled_median_s": float(np.median(scaled)),
                 "exit": exits,
                 "stdout_sha256": digests,
             })
