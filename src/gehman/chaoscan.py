@@ -17,6 +17,7 @@ import numpy as np
 from gehman.coding import (
     SymbolStream,
     _bits_for,
+    _packed_bits,
     atom_profile,
     factors,
     lcp,
@@ -52,10 +53,27 @@ def _label(x: BitsLike, fallback: str) -> str:
 def lcp_series(x: BitsLike, y: BitsLike, N: int, cap: int) -> np.ndarray:
     """series[n] = lcp(shift(x, n), shift(y, n), cap) for n = 0..N.
 
-    Built from the mismatch positions of the same single compare that
-    ``classify_pair`` reads as packed agreement bits (``_LcpRuns``).
+    One elementwise compare of the first N + cap symbols, with position
+    N + cap read as a mismatch, lists the mismatches up to the first at
+    or after N; repeating each over the shifts of its run gives the
+    first mismatch at or after every shift in one ``np.repeat`` pass.
     """
-    return _LcpRuns(x, y, N, cap).series(cap)
+    if N < 0 or cap < 1:
+        raise ValueError("need N >= 0 and cap >= 1")
+    length = N + cap
+    ax = _bits_for(x, length)
+    ay = _bits_for(y, length)
+    if min(ax.shape[0], ay.shape[0]) < length:
+        raise ValueError(f"input too short: fewer than {length} symbols")
+    neq = np.empty(length + 1, dtype=bool)
+    np.not_equal(ax, ay, out=neq[:length])
+    neq[length] = True
+    ends = np.flatnonzero(neq)
+    ends = ends[:int(np.searchsorted(ends, N)) + 1]
+    nxt = np.repeat(ends, np.diff(ends, prepend=-1))[:N + 1]
+    nxt = nxt.astype(np.int64, copy=False)
+    nxt -= np.arange(N + 1, dtype=np.int64)
+    return np.minimum(nxt, cap, out=nxt)
 
 
 @dataclass(frozen=True)
@@ -113,23 +131,25 @@ def _own_subject(certificate, x, y) -> bool:
 class _LcpRuns:
     """``lcp_series(x, y, N, c)`` for every c <= cap, as packed agreement bits.
 
-    The one compare of two streams in this module: one elementwise
-    compare of the first N + cap symbols, packed little-endian into
-    uint64 words, with the bits from N + cap on (at least one) read as
-    mismatches.  R_L has bit i set iff symbols i..i+L-1 agree, so for
-    L <= c the series at cap c is >= L at shift n <= N exactly where R_L
-    has bit n set.  R_1 is the complement of the packed mismatches; R_L
-    for L > 1 is R_P & (R_P >> (L - P)), P the largest power of two
-    below L, since the windows of length P at i and at i + L - P overlap
-    and cover i..i+L-1.  A shift by 64 or more drops whole words; what
-    is left moves bits across one word edge.
+    The pair compare of ``classify_pair``: the packed mismatches are the
+    XOR of the two inputs' first N + cap symbols as little-endian uint64
+    words (:meth:`SymbolStream.packed`, which packs each stream once for
+    all of its pairs; an array is packed here), with the bits from
+    N + cap on (at least one) set.  R_L has bit i set iff symbols
+    i..i+L-1 agree, so for L <= c the series at cap c is >= L at shift
+    n <= N exactly where R_L has bit n set.  R_1 is the complement of
+    the packed mismatches; R_L for L > 1 is R_P & (R_P >> (L - P)), P
+    the largest power of two below L, since the windows of length P at
+    i and at i + L - P overlap and cover i..i+L-1.  A shift by 64 or
+    more drops whole words; what is left moves bits across one word
+    edge.
 
     Each query reads these words, and none lists the mismatch positions:
 
     * The first set bit n <= N of R_v is the first shift with lcp >= v.
       It starts a run of agreement: bit n - 1 of R_v is clear and bit n
-      is set, so only symbol n - 1 can disagree.  Its lcp is read off
-      the cap symbols from n.
+      is set, so only symbol n - 1 can disagree.  Its lcp is the
+      distance to the first mismatch from n on, capped.
     * The max at cap is the largest L <= cap whose R_L has such a bit:
       R_cap itself, or else found by doubling L while it has one and
       then by halving steps.  Its first argmax is that bit.
@@ -137,25 +157,18 @@ class _LcpRuns:
 
     Every R_L and its first bit are kept, so the queries of one pair and
     the two caps of an own-subject scan share them, and an R_L with no
-    bit at or below N answers every longer L.  ``series`` lists the
-    mismatches of the same compare for ``lcp_series``.
+    bit at or below N answers every longer L.
     """
 
     def __init__(self, x: BitsLike, y: BitsLike, N: int, cap: int):
         if N < 0 or cap < 1:
             raise ValueError("need N >= 0 and cap >= 1")
         length = N + cap
-        ax = _bits_for(x, length)
-        ay = _bits_for(y, length)
-        if min(ax.shape[0], ay.shape[0]) < length:
-            raise ValueError(f"input too short: fewer than {length} symbols")
-        neq = np.empty(64 * (length // 64 + 1), dtype=bool)
-        np.not_equal(ax, ay, out=neq[:length])
-        neq[length:] = True
-        self.N, self._neq = N, neq
+        miss = _packed_bits(x, length) ^ _packed_bits(y, length)
+        miss[-1] |= np.uint64(-1 << (length & 63) & (2**64 - 1))
+        self.N, self._miss = N, miss
         self._words = N // 64 + 1  # the words that hold shifts 0..N
-        self._miss = np.packbits(neq, bitorder="little").view("<u8")
-        self._agree = {1: ~self._miss}
+        self._agree = {1: ~miss}
         self._first: dict[int, int | None] = {}
         # R_L for L <= _some_to has a bit <= N, for L >= _none_from none
         self._some_to, self._none_from = 0, length + 1
@@ -194,15 +207,6 @@ class _LcpRuns:
         """Whether some shift n <= N has lcp >= L."""
         return L <= self._some_to or self._first_set(L) is not None
 
-    def series(self, cap: int) -> np.ndarray:
-        """The series at cap, as int64: each mismatch repeated over its run."""
-        ends = np.flatnonzero(self._neq)
-        ends = ends[:int(np.searchsorted(ends, self.N)) + 1]
-        nxt = np.repeat(ends, np.diff(ends, prepend=-1))[:self.N + 1]
-        nxt = nxt.astype(np.int64, copy=False)
-        nxt -= np.arange(self.N + 1, dtype=np.int64)
-        return np.minimum(nxt, cap, out=nxt)
-
     def peak(self, cap: int) -> tuple[int, int]:
         """Max of the series at cap and the first shift that takes it."""
         top = cap
@@ -222,9 +226,7 @@ class _LcpRuns:
         n = self._first_set(v)
         if n is None:
             return None
-        run = self._neq[n:n + cap]
-        k = int(run.argmax())
-        return n, k if run[k] else cap
+        return n, min(self._next_miss(n, (n + cap) >> 6) - n, cap)
 
     def first_low(self, checkpoints: list[int], cap: int) -> list[int | None]:
         """First n in [c, N] with lcp <= 2 at cap, for each c, or None.
@@ -288,7 +290,8 @@ def classify_pair(
     the bound and reported.
 
     Every field is a bit query on the packed agreement words R_L of one
-    compare of the two streams (``_LcpRuns``): max and argmax from the
+    XOR of the two streams' packed words (``_LcpRuns``; an array input
+    must hold only 0/1, or ValueError is raised): max and argmax from the
     largest L <= m+1 whose R_L has a bit at a shift <= N, the proximal
     shift from the first such bit of R_m, and each checkpoint's shift
     from the first clear bit of R_3 at or after it.  Neither the series

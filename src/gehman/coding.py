@@ -14,10 +14,12 @@ uint64 arithmetic.  Before it steps an extension, the generator counts,
 exactly and with two floor sums, the points whose accumulated rounding
 window may reach the cut 0 or 1/4.  An extension with none, which is
 nearly every extension, costs one add and one compare per symbol; when
-there are some, one count per block finds the blocks that hold them,
-and in those blocks each point whose window does reach a cut is decided
-exactly.  An orbit point that hits 0 or 1/4 exactly raises
-:class:`CutPointCollision` instead of silently picking a side.
+there are some, one count per block finds the blocks that hold them.
+Each of those blocks is stepped again from its own exact start, so its
+window is at most the block length, and each point whose window does
+reach a cut is decided exactly.  An orbit point that hits 0 or 1/4
+exactly raises :class:`CutPointCollision` instead of silently picking a
+side.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ class SymbolStream:
     writing into the slots :meth:`_reserve` hands out and publishing
     them with :meth:`_commit`.  ``_spectra`` memoizes the factor
     machinery: for each (horizon, tail_start) the window spectrum at the
-    longest factor length asked so far.
+    longest factor length asked so far.  ``_words`` memoizes the first
+    ``_npacked`` symbols packed into uint64 words (:meth:`packed`).
     """
 
     def __init__(self, label: str = "stream"):
@@ -73,6 +76,9 @@ class SymbolStream:
         self._buf = self._store[:0]
         self._buf.flags.writeable = False
         self._spectra: dict[tuple[int, int], _Spectrum] = {}
+        self._words = np.zeros(1, dtype="<u8")
+        self._words.flags.writeable = False
+        self._npacked = 0
         self.label = label
 
     def _extend_to(self, n: int) -> None:
@@ -104,6 +110,28 @@ class SymbolStream:
             self._extend_to(n)
         return self._buf[:n]
 
+    def packed(self, n: int) -> np.ndarray:
+        """First n symbols packed little-endian into n // 64 + 1 uint64 words.
+
+        Bit i of word k is symbol 64k + i + 1; the bits from n on are
+        unspecified.  The words are kept as a read-only memo.  A request
+        past the ``_npacked`` symbols packed so far packs the whole
+        buffer from the last whole packed word on, so each symbol is
+        packed once and a partly filled last word is packed again before
+        it is served.
+        """
+        if n < 0:
+            raise ValueError("prefix length must be nonnegative")
+        if self._npacked < n:
+            self.array(n)
+            buf, k = self._buf, self._npacked >> 6
+            words = np.empty(len(buf) // 64 + 1, dtype="<u8")
+            words[:k] = self._words[:k]
+            _pack(buf[64 * k:], words[k:])
+            words.flags.writeable = False
+            self._words, self._npacked = words, len(buf)
+        return self._words[:n // 64 + 1]
+
     def prefix(self, n: int) -> bytes:
         """First n symbols as raw bytes with values 0/1."""
         return self.array(n).tobytes()
@@ -124,6 +152,24 @@ class SymbolStream:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label}>"
+
+
+def _pack(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pack 0/1 bits little-endian into the uint64 words ``out``, which
+    must hold them; the bits past the last are zero."""
+    b = np.packbits(bits, bitorder="little")
+    view = out.view(np.uint8)
+    view[:b.size] = b
+    view[b.size:] = 0
+    return out
+
+
+def _ramp(x0: int, a: int, n: int) -> np.ndarray:
+    """x0 + j*a mod 2^64 for j < n, as uint64."""
+    x = np.arange(n, dtype=np.uint64)
+    x *= np.uint64(a)
+    x += np.uint64(x0)
+    return x
 
 
 def _near_cuts(x0: int, a: int, n: int, w: int | None = None) -> int:
@@ -204,37 +250,49 @@ class RotationCoding(SymbolStream):
         # angle, reduced mod 1, so uint64 arithmetic, which wraps mod
         # 2^64, gives x_j = x0 + j*a with the true point at x_j + delta,
         # 0 <= delta < j + 1 units.  A point whose window [x_j, x_j + n]
-        # holds a cut (0 or 2^62), n the length of the fill, is decided
-        # exactly.  Each such point has (x_j + n) mod 2^62 <= n, and
-        # _near_blocks finds, by exact counts, the blocks that hold
-        # those, so a block without one needs no screen: per block, one
-        # add of size*a mod 2^64 and one compare straight into the
-        # store.  Blocks keep x in cache.
-        d, den, n, a = self._d, self._den, len(out), self._a
-        u, v = self._u0 + lo * self._du, self._v0 + lo * self._dv
-        x0 = surd_floor(u << 64, v << 64, d, den) % 2**64
+        # holds a cut (0 or 2^62), n the length of the fill, may be
+        # rounded to the wrong side.  Each such point has
+        # (x_j + n) mod 2^62 <= n, and _near_blocks finds, by exact
+        # counts, the blocks that hold those, so a block without one is
+        # exact as stepped: per block, one add of size*a mod 2^64 and
+        # one compare straight into the store.  A block with one is
+        # decided by _decide_near from its own exact start.  Blocks keep
+        # x in cache.
+        n, a = len(out), self._a
+        x0 = self._fixed_point(lo)
         size = min(n, _BLOCK)
         near = set(_near_blocks(x0, a, n, size))
-        x = np.arange(size, dtype=np.uint64)
-        x *= np.uint64(a)
-        x += np.uint64(x0)
+        x = _ramp(x0, a, size)
         step = np.uint64(size * a % 2**64)
         sym = out.view(bool)
         for b0 in range(0, n, size):
             xb = x[:min(size, n - b0)]
             if b0:
                 xb += step
-            np.greater_equal(xb, _QUARTER, out=sym[b0:b0 + len(xb)])
             if b0 in near:
-                self._decide_near(out[b0:b0 + len(xb)], xb, n, lo + b0)
+                self._decide_near(out[b0:b0 + len(xb)], lo + b0)
+            else:
+                np.greater_equal(xb, _QUARTER, out=sym[b0:b0 + len(xb)])
 
-    def _decide_near(self, out: np.ndarray, x: np.ndarray, n: int, lo: int) -> None:
-        """Decide exactly the points of one block, symbols lo+1.., whose
-        window [x_j, x_j + n] reaches 0 or 2^62."""
-        # (x + n) mod 2^64, with the bit of 2^62 cleared, is at most n
-        # iff x lies in [-n, 0] or [2^62 - n, 2^62]
-        w = np.uint64(n)
-        screen = (x + w) & _NOT_QUARTER
+    def _fixed_point(self, i: int) -> int:
+        """floor(2^64 * point at 0-based index i) mod 2^64, exactly."""
+        u, v = self._u0 + i * self._du, self._v0 + i * self._dv
+        return surd_floor(u << 64, v << 64, self._d, self._den) % 2**64
+
+    def _decide_near(self, out: np.ndarray, lo: int) -> None:
+        """Decide symbols lo+1..lo+w of one block, w = len(out).
+
+        The block's start is floored exactly and stepped on its own, so
+        the true point at step j lies within j + 1 <= w units above x_j,
+        and only the points whose window [x_j, x_j + w] reaches 0 or
+        2^62 are decided exactly.
+        """
+        w = len(out)
+        x = _ramp(self._fixed_point(lo), self._a, w)
+        np.greater_equal(x, _QUARTER, out=out.view(bool))
+        # (x + w) mod 2^64, with the bit of 2^62 cleared, is at most w
+        # iff x lies in [-w, 0] or [2^62 - w, 2^62]
+        screen = (x + np.uint64(w)) & _NOT_QUARTER
         for j in np.flatnonzero(screen <= w).tolist():
             out[j] = self._symbol_at(lo + j)
 
@@ -356,6 +414,23 @@ def _bits_for(x: WordLike, n: int) -> np.ndarray:
             raise ValueError("words must contain only 0/1")
         return arr[:n]
     raise TypeError(f"expected a stream, array or 0/1 word, got {type(x).__name__}")
+
+
+def _packed_bits(x: WordLike, n: int) -> np.ndarray:
+    """First n symbols of x as :meth:`SymbolStream.packed` gives them.
+
+    A stream serves its memo; an array or word is packed afresh, and
+    must hold n symbols, each 0 or 1, since packing reads any nonzero
+    value as 1.
+    """
+    if isinstance(x, SymbolStream):
+        return x.packed(n)
+    arr = _bits_for(x, n)
+    if arr.shape[0] < n:
+        raise ValueError(f"input too short: fewer than {n} symbols")
+    if n and not 0 <= arr.min() <= arr.max() <= 1:
+        raise ValueError("symbols must be 0 or 1")
+    return _pack(arr, np.empty(n // 64 + 1, dtype="<u8"))
 
 
 def lcp(x: WordLike, y: WordLike, cap: int) -> int:

@@ -1,5 +1,6 @@
 """Pair classification, scrambled-set scans, certificates, limit checks."""
 
+import functools
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gehman import chaoscan
+from gehman import chaoscan, coding, family
 from gehman.chaoscan import (
     VERDICT_ASYMPTOTIC,
     VERDICT_DISTAL,
@@ -25,7 +26,16 @@ from gehman.chaoscan import (
     sturmian_no_LY_check,
     verdict_record,
 )
-from gehman.coding import PeriodicStream, _bits_for, lcp, shift, sturmian_stream
+from gehman.cli import main
+from gehman.coding import (
+    PeriodicStream,
+    SymbolStream,
+    WordStream,
+    _bits_for,
+    lcp,
+    shift,
+    sturmian_stream,
+)
 from gehman.exactnum import QuadSurd
 from gehman.family import a_stream, b_stream, x_stream
 
@@ -332,6 +342,150 @@ class TestRunsAgainstSeries:
             assert r.max_lcp == want
             assert r.ok == (want < r.K)
             assert r.verdict == VERDICT_DISTAL
+
+
+@st.composite
+def packed_pairs(draw, length):
+    """Two inputs of at least ``length`` symbols: arrays, words of exactly
+    that length, periodic streams, or shifts of long rotation codings
+    whose packed words hold symbols past it."""
+    kind = draw(st.sampled_from(["array", "word", "periodic", "rotation"]))
+    if kind == "periodic":
+        return tuple(PeriodicStream(draw(st.text("01", min_size=1, max_size=5)))
+                     for _ in range(2))
+    if kind == "rotation":
+        base = sturmian_stream(SQRT2_4)
+        far = a_stream(draw(st.sampled_from(["000", "101"])))
+        p, q = (draw(st.integers(0, 3000)) for _ in range(2))
+        return shift(base, p), shift(draw(st.sampled_from([base, far])), q)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    ax = rng.integers(0, 2, length, dtype=np.uint8)
+    ay = ax.copy()
+    flips = draw(st.sets(st.integers(0, length - 1), max_size=8))
+    ay[list(flips)] ^= 1
+    if draw(st.booleans()):
+        ay = rng.integers(0, 2, length, dtype=np.uint8)
+    if kind == "word":
+        return WordStream(ax.tobytes()), WordStream(ay.tobytes())
+    return ax, ay
+
+
+def word_edge_lengths():
+    """64k - 1, 64k and 64k + 1, for a few small k and for k = 1024."""
+    k = st.one_of(st.integers(1, 20), st.just(1024))
+    return st.tuples(k, st.sampled_from([-1, 0, 1])).map(lambda t: 64 * t[0] + t[1])
+
+
+def brute_lcps(x, y, N, cap):
+    """lcp at every shift 0..N: the first mismatch of each length-cap window."""
+    neq = _bits_for(x, N + cap) != _bits_for(y, N + cap)
+    win = np.lib.stride_tricks.sliding_window_view(neq, cap)[:N + 1]
+    return np.where(win.any(axis=1), win.argmax(axis=1), cap)
+
+
+class TestPackedCompare:
+    """_LcpRuns on XORed packed words against a brute-force lcp scan."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_queries_against_brute_force(self, data):
+        length = data.draw(word_edge_lengths())
+        cap = data.draw(st.integers(1, min(length, 80)))
+        N = length - cap
+        x, y = data.draw(packed_pairs(length))
+        want = brute_lcps(x, y, N, cap)
+        assert lcp_series(x, y, N, cap).tolist() == want.tolist()
+        runs = chaoscan._LcpRuns(x, y, N, cap)
+        # a compare at cap answers every smaller cap too
+        for c in {1, 2, 3, cap // 2, cap} & set(range(1, cap + 1)):
+            series = np.minimum(want, c)
+            top = int(series.max())
+            assert runs.peak(c) == (top, int(series.argmax()))
+            for v in range(1, c + 1):
+                hit = np.flatnonzero(series >= v)
+                got = runs.first_reaching(v, c)
+                n = int(hit[0]) if hit.size else None
+                assert got == (None if n is None else (n, int(series[n])))
+        cs = data.draw(st.lists(st.integers(0, N + 70), max_size=8))
+        assert runs.first_low(cs, cap) == [
+            first_low_by_series(x, y, N, cap, c) for c in cs]
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_own_subject_with_a_larger_cap(self, data):
+        # K + 1 > m + 1: the pair is compared once over N + K + 1
+        # symbols, which lie at a word edge, and a later plain compare of
+        # the same streams reads the longer packed words
+        length = data.draw(word_edge_lengths())
+        m = data.draw(st.integers(1, 20))
+        K = data.draw(st.integers(m + 1, min(length - 1, 90)))
+        N = length - K - 1
+        x, y = data.draw(packed_pairs(length))
+        want = _series_fields(x, y, N, m, K)
+        cert = DistalityCertificate(
+            K=K, delta=QuadSurd(Fraction(1, 3)), angle=SQRT2_4, subject="pair",
+            subject_streams=(x, y),
+        )
+        own = classify_pair(x, y, N, m, certificate=cert)
+        plain = classify_pair(x, y, N, m)
+        for pv in (own, plain):
+            assert (pv.max_lcp, pv.proximal_evidence, pv.nonasymptotic_evidence) == (
+                want["max_lcp"], want["proximal"], want["nonasymptotic"])
+        bc = own.bound_check
+        assert (bc["subject_max_lcp"], bc["subject_max_at"]) == want["subject"]
+
+    @pytest.mark.parametrize("bad", [2, 7, -1])
+    def test_arrays_must_hold_zero_or_one(self, bad):
+        # packing reads any nonzero value as 1, so a value that is not
+        # 0 or 1 is refused rather than compared as 1
+        ax = np.zeros(300, dtype=np.int16)
+        ay = ax.copy()
+        ay[150] = bad
+        for x, y in ((ax, ay), (ay, ax)):
+            with pytest.raises(ValueError, match="^symbols must be 0 or 1$"):
+                chaoscan._LcpRuns(x, y, 200, 10)
+            with pytest.raises(ValueError, match="^symbols must be 0 or 1$"):
+                classify_pair(x, y, 200, 9)
+        # only the compared prefix is read
+        assert classify_pair(ax, ay, 100, 9).max_lcp == (10, 0)
+
+    def test_scan_packs_each_stream_once(self, monkeypatch, capsys):
+        # fresh family streams, so no earlier test has packed them; every
+        # stream's packs start at the previous pack's last whole word, so
+        # no symbol before it is packed twice
+        fresh = functools.cache(family._family_stream.__wrapped__)
+        monkeypatch.setattr(family, "_family_stream", fresh)
+        packs: dict[str, list[tuple[int, int]]] = {}
+        real = SymbolStream.packed
+        pack = coding._pack
+        owner: list[SymbolStream | None] = [None]
+
+        def packed(self, n):
+            owner[0] = self
+            try:
+                return real(self, n)
+            finally:
+                owner[0] = None
+
+        def spy(bits, out):
+            assert owner[0] is not None, "an array was packed"
+            x = owner[0]
+            packs.setdefault(x.label, []).append((x._npacked, len(bits)))
+            return pack(bits, out)
+
+        monkeypatch.setattr(SymbolStream, "packed", packed)
+        monkeypatch.setattr(coding, "_pack", spy)
+        codes = ["000", "011", "101"]
+        assert main(["scan", "--include-limits", "--codes-inline", ",".join(codes)]) == 0
+        assert '"points":9' in capsys.readouterr().out
+        assert sorted(packs) == sorted(f"{k}:{c}" for k in "xab" for c in codes)
+        for label, steps in packs.items():
+            done = 0
+            for before, size in steps:
+                assert before == done
+                done = 64 * (before // 64) + size
+            stream = fresh(label[0], label[2:], family.DEFAULT_CONFIG)
+            assert stream._npacked == done <= len(stream._buf)
 
 
 class TestVerdictRecord:

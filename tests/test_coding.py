@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from gehman import coding
 from gehman.chaoscan import certified_b_distality, omega_scrambled_check
 from gehman.coding import (
     _BLOCK,
@@ -29,6 +30,7 @@ from gehman.coding import (
     WordStream,
     _near_blocks,
     _near_cuts,
+    _packed_bits,
     atom_profile,
     dist,
     factor_count_profile,
@@ -339,9 +341,9 @@ def spy_screen(monkeypatch) -> list[int]:
     screened = []
     real = RotationCoding._decide_near
 
-    def spy(self, out, x, n, lo):
+    def spy(self, out, lo):
         screened.append(lo)
-        real(self, out, x, n, lo)
+        real(self, out, lo)
 
     monkeypatch.setattr(RotationCoding, "_decide_near", spy)
     return screened
@@ -420,6 +422,38 @@ class TestNearBlocks:
         assert ei.value.index == k + 1
         assert screened == [b for b in blocks if b <= block * _BLOCK]
         assert len(rc._buf) == 0
+
+
+# floors to a = 2^62 in fixed point: the points at j = 0 and 3 mod 4
+# lie the same offset below 1/4 and 0, and it shrinks by sqrt(2)/4
+# units a step
+NEAR_ALPHA = QuadSurd(Fraction(1, 4), Fraction(1, 2**66), 2)
+
+
+class TestNearBand:
+    """A near block is stepped from its own exact start and screened with
+    its own length as window, whatever the length of the extension."""
+
+    # start 2^19 units below 1/4: after 10^6 steps the offset is still
+    # above 2^17 units, so no point is near; with the extension length
+    # as window, half the points were decided exactly.  Start 2^18 units
+    # below: the offset reaches 0 near step 741,455, and only blocks 20
+    # to 22, around it, take exact steps.
+    @pytest.mark.parametrize("e,band", [(45, (0, 0)), (46, (20 * _BLOCK, 23 * _BLOCK))])
+    def test_exact_steps_on_an_orbit_near_the_cuts(self, e, band, monkeypatch):
+        n = 10**6
+        rc = RotationCoding(Fraction(1, 4) - Fraction(1, 2**e), NEAR_ALPHA)
+        exact = []
+        real = RotationCoding._symbol_at
+
+        def spy(self, i):
+            exact.append(i)
+            return real(self, i)
+
+        monkeypatch.setattr(RotationCoding, "_symbol_at", spy)
+        assert rc.prefix(n) == reference_walk(rc.start, rc.alpha, 0, n)
+        assert all(band[0] <= i < band[1] for i in exact)
+        assert len(exact) <= (band[1] - band[0]) // 2
 
 
 EDGE_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _CHUNK + 1]
@@ -538,6 +572,102 @@ class TestBufferCore:
         for i in range(1, 131):
             assert d.symbol(i) == d.array(i)[i - 1]
         assert d.word(130) == x_stream("0110").word(130)
+
+
+def unpack(words: np.ndarray, n: int) -> list[int]:
+    """The first n bits of little-endian uint64 words."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little")[:n].tolist()
+
+
+def spy_packs(monkeypatch) -> list[int]:
+    """Record how many symbols every call of ``coding._pack`` packs."""
+    sizes = []
+    real = coding._pack
+
+    def spy(bits, out):
+        sizes.append(len(bits))
+        return real(bits, out)
+
+    monkeypatch.setattr(coding, "_pack", spy)
+    return sizes
+
+
+PACKED_STREAMS = {
+    "rotation": lambda: RotationCoding(Fraction(1, 3), SQRT3_8),
+    "periodic": lambda: PeriodicStream("011"),
+    "word": lambda: WordStream("0110" * 500),
+    "shift": lambda: shift(RotationCoding(Fraction(1, 3), SQRT3_8), 37),
+    "diamond": lambda: diamond(a_stream("0110"), b_stream("0110")),
+}
+
+
+class TestPacked:
+    """SymbolStream.packed: the prefix as uint64 words, packed once."""
+
+    @settings(max_examples=30)
+    @given(st.sampled_from(sorted(PACKED_STREAMS)),
+           st.lists(st.integers(0, 2000), min_size=1, max_size=8))
+    def test_words_hold_the_prefix(self, kind, requests):
+        x = PACKED_STREAMS[kind]()
+        for n in requests:
+            words = x.packed(n)
+            assert words.dtype == np.dtype("<u8")
+            assert words.shape == (n // 64 + 1,)
+            assert not words.flags.writeable
+            assert unpack(words, n) == x.array(n).tolist()
+
+    @pytest.mark.parametrize("kind,n1,n2", [
+        ("periodic", 10, 40),  # the buffer holds 15 symbols at n1
+        ("rotation", _CHUNK + 70, _CHUNK + 100),  # one extension of 2^15 apart
+    ])
+    def test_longer_request_in_the_same_last_word(self, kind, n1, n2, monkeypatch):
+        # n2 falls in the partly packed last word of n1: the word is
+        # packed again with the new symbols, from its first bit
+        assert n1 // 64 == n2 // 64
+        x = PACKED_STREAMS[kind]()
+        sizes = spy_packs(monkeypatch)
+        first = x.packed(n1)
+        held = len(x._buf)
+        assert held < n2
+        words = x.packed(n2)
+        assert unpack(words, n2) == x.array(n2).tolist()
+        assert unpack(first, n1) == x.array(n1).tolist()
+        assert sizes == [held, len(x._buf) - 64 * (held // 64)]
+
+    def test_requests_within_the_packed_symbols_pack_nothing(self, monkeypatch):
+        x = RotationCoding(Fraction(1, 3), SQRT3_8)
+        whole = x.packed(5000)
+        sizes = spy_packs(monkeypatch)
+        for n in (0, 1, 64, 4999, 5000, _CHUNK):
+            assert np.shares_memory(x.packed(n), whole)
+        assert sizes == []
+
+    def test_negative_length_and_short_word_raise(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PeriodicStream("01").packed(-1)
+        with pytest.raises(ValueError, match="has only 4 symbols"):
+            WordStream("0101").packed(5)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+    def test_arrays_and_words_are_packed_afresh(self, n):
+        rng = np.random.default_rng(n)
+        arr = rng.integers(0, 2, n + 3, dtype=np.uint8)
+        text = "".join(map(str, arr.tolist()))
+        for x in (arr, arr.astype(bool), arr.astype(np.int64), text):
+            words = _packed_bits(x, n)
+            assert words.shape == (n // 64 + 1,)
+            assert unpack(words, 64 * words.size) == arr[:n].tolist() + [0] * (
+                64 * words.size - n)
+
+    @pytest.mark.parametrize("bad", [2, 255, -1])
+    def test_arrays_must_hold_zero_or_one(self, bad):
+        arr = np.zeros(100, dtype=np.int16)
+        arr[70] = bad
+        with pytest.raises(ValueError, match="^symbols must be 0 or 1$"):
+            _packed_bits(arr, 100)
+        assert _packed_bits(arr, 70).tolist() == [0, 0]
+        with pytest.raises(ValueError, match="^input too short: fewer than 101 symbols$"):
+            _packed_bits(arr, 101)
 
 
 class TestWordMachinery:
