@@ -612,6 +612,8 @@ def sturmian_no_LY_check(
     """
     if max_shift < 1:
         raise ValueError("max_shift must be >= 1")
+    if N < 1 or m < 1:
+        raise ValueError("need N >= 1 and m >= 1")
     a = sturmian_stream(alpha)
     profile = atom_profile(a.alpha)
     certs: dict[int, tuple[int, str]] = {}
@@ -620,8 +622,6 @@ def sturmian_no_LY_check(
         if delta.sign() == 0:
             raise RuntimeError("internal failure: rational rotation angle")
         certs[diff] = profile.depth_for(delta), str(delta)
-    if N < 1 or m < 1:
-        raise ValueError("need N >= 1 and m >= 1")
     # Pair (i, j) at shift n compares base[i+n:] with base[j+n:], so its
     # series at cap K+1 is the window [i, i+N] of one series per shift
     # difference; its max is the pair's max_lcp.

@@ -13,11 +13,10 @@ exactly, to 64-bit fixed-point floors; the orbit is stepped in wrapping
 uint64 arithmetic.  Before it steps an extension, the generator counts,
 exactly and with two floor sums, the points whose accumulated rounding
 window may reach the cut 0 or 1/4.  An extension with none, which is
-nearly every extension, costs one add and one compare per symbol; when
-there are some, one count per block finds the blocks that hold them.
-Each of those blocks is stepped again from its own exact start, so its
-window is at most the block length, and each point whose window does
-reach a cut is decided exactly.  An orbit point that hits 0 or 1/4
+nearly every extension, costs one add and one compare per symbol.  An
+extension with some steps every block again from its own exact start,
+so a block's window is at most its length, and decides exactly each
+point whose window does reach a cut.  An orbit point that hits 0 or 1/4
 exactly raises :class:`CutPointCollision` instead of silently picking a
 side.
 """
@@ -41,7 +40,6 @@ from gehman.exactnum import (
     surd_sign_int,
 )
 
-_CHUNK = 1 << 15
 _BLOCK = 1 << 15  # symbols per cache-sized block of a fill
 _QUARTER = np.uint64(1 << 62)  # the cut 1/4 in 64-bit fixed point
 _NOT_QUARTER = ~_QUARTER
@@ -172,31 +170,16 @@ def _ramp(x0: int, a: int, n: int) -> np.ndarray:
     return x
 
 
-def _near_cuts(x0: int, a: int, n: int, w: int | None = None) -> int:
-    """Number of j < n with (x0 + j*a + w) mod 2^62 <= w, for w < 2^62.
+def _near_cuts(x0: int, a: int, n: int) -> int:
+    """Number of j < n with (x0 + j*a + n) mod 2^62 <= n, for n < 2^62.
 
-    The window w defaults to n.  For t = x0 + j*a + w,
-    floor(t/2^62) - floor((t - w - 1)/2^62) is 1 when t mod 2^62 <= w
-    and 0 otherwise, so the count is a difference of two floor sums,
-    with a and t taken mod 2^62.
+    For t = x0 + j*a + n, floor(t/2^62) - floor((t - n - 1)/2^62) is 1
+    when t mod 2^62 <= n and 0 otherwise, so the count is a difference
+    of two floor sums, with a and t taken mod 2^62.
     """
     m = 1 << 62
-    w = n if w is None else w
-    a, b = a % m, (x0 + w) % m
-    return floor_sum(n, m, a, b) - floor_sum(n, m, a, b - w - 1)
-
-
-def _near_blocks(x0: int, a: int, n: int, size: int) -> list[int]:
-    """Starts of the size-blocks of [0, n) that hold a j counted by
-    ``_near_cuts(x0, a, n)``, in increasing order.
-
-    Each block is counted with the window kept at n, and only when the
-    count over all of [0, n) is nonzero.
-    """
-    if not _near_cuts(x0, a, n):
-        return []
-    return [b for b in range(0, n, size)
-            if _near_cuts(x0 + b * a, a, min(size, n - b), n)]
+    a, b = a % m, (x0 + n) % m
+    return floor_sum(n, m, a, b) - floor_sum(n, m, a, b - n - 1)
 
 
 class RotationCoding(SymbolStream):
@@ -240,7 +223,7 @@ class RotationCoding(SymbolStream):
         # The extension is published only once every symbol in it is
         # decided, so a collision leaves no undecided slot behind.
         lo = len(self._buf)
-        end = max(n, lo + _CHUNK)
+        end = max(n, lo + _BLOCK)
         self._fill(self._reserve(end), lo)
         self._commit(end)
 
@@ -251,17 +234,18 @@ class RotationCoding(SymbolStream):
         # 2^64, gives x_j = x0 + j*a with the true point at x_j + delta,
         # 0 <= delta < j + 1 units.  A point whose window [x_j, x_j + n]
         # holds a cut (0 or 2^62), n the length of the fill, may be
-        # rounded to the wrong side.  Each such point has
-        # (x_j + n) mod 2^62 <= n, and _near_blocks finds, by exact
-        # counts, the blocks that hold those, so a block without one is
-        # exact as stepped: per block, one add of size*a mod 2^64 and
-        # one compare straight into the store.  A block with one is
-        # decided by _decide_near from its own exact start.  Blocks keep
-        # x in cache.
+        # rounded to the wrong side; _near_cuts counts those exactly.
+        # With none, the fill is exact as stepped, per cache-sized block
+        # one add of size*a mod 2^64 and one compare into the store.
+        # With some, _decide_near decides every block from its own
+        # exact start.
         n, a = len(out), self._a
         x0 = self._fixed_point(lo)
+        if _near_cuts(x0, a, n):
+            for b0 in range(0, n, _BLOCK):
+                self._decide_near(out[b0:b0 + _BLOCK], lo + b0)
+            return
         size = min(n, _BLOCK)
-        near = set(_near_blocks(x0, a, n, size))
         x = _ramp(x0, a, size)
         step = np.uint64(size * a % 2**64)
         sym = out.view(bool)
@@ -269,10 +253,7 @@ class RotationCoding(SymbolStream):
             xb = x[:min(size, n - b0)]
             if b0:
                 xb += step
-            if b0 in near:
-                self._decide_near(out[b0:b0 + len(xb)], lo + b0)
-            else:
-                np.greater_equal(xb, _QUARTER, out=sym[b0:b0 + len(xb)])
+            np.greater_equal(xb, _QUARTER, out=sym[b0:b0 + len(xb)])
 
     def _fixed_point(self, i: int) -> int:
         """floor(2^64 * point at 0-based index i) mod 2^64, exactly."""
@@ -524,6 +505,15 @@ def _run_starts(v: np.ndarray) -> np.ndarray:
     return np.flatnonzero(edge)
 
 
+def _tally(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct entries of values, sorted, with the weights of each summed."""
+    order = np.argsort(values)
+    values = values[order]
+    starts = _run_starts(values)
+    counts = np.add.reduceat(weights[order], starts) if starts.size else weights[:0]
+    return values[starts], counts
+
+
 def _array_spectrum(arr: np.ndarray, n: int) -> _Spectrum:
     """Pack, sort and count the length-n windows of one symbol array."""
     w = _packed_windows(arr, n)
@@ -559,30 +549,13 @@ def _spectrum_for(x: WordLike, n: int, horizon: int, tail_start: int) -> _Spectr
 def _counts_at(spec: _Spectrum, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct packed length-n windows (n <= n_max) and their counts.
 
-    The n-prefixes of the sorted n_max-windows are sorted, so equal ones
-    form runs whose counts add up; the windows that start in ``tail``
-    are counted in exactly.
+    Each n_max-window counts for its n-prefix, and each length-n window
+    that starts in ``tail`` counts once; one tally sums them.
     """
     pref = spec.values >> np.uint64(spec.n_max - n)
-    starts = _run_starts(pref)
-    values = pref[starts]
-    counts = np.add.reduceat(spec.counts, starts) if starts.size else spec.counts.copy()
-    extra: Counter = Counter()
-    v, mask = 0, (1 << n) - 1
-    for i, b in enumerate(spec.tail.tolist()):
-        v = ((v << 1) | b) & mask
-        if i >= n - 1:
-            extra[v] += 1
-    if extra:
-        ev = np.fromiter(extra.keys(), dtype=np.uint64, count=len(extra))
-        ec = np.fromiter(extra.values(), dtype=np.int64, count=len(extra))
-        pos = np.searchsorted(values, ev)
-        new = pos >= values.size
-        new[~new] = values[pos[~new]] != ev[~new]
-        np.add.at(counts, pos[~new], ec[~new])
-        values = np.concatenate((values, ev[new]))
-        counts = np.concatenate((counts, ec[new]))
-    return values, counts
+    tail = _packed_windows(spec.tail, n)
+    ones = np.ones(tail.size, dtype=spec.counts.dtype)
+    return _tally(np.concatenate((pref, tail)), np.concatenate((spec.counts, ones)))
 
 
 def factors(x: WordLike, n: int, horizon: int) -> set[str]:
@@ -610,6 +583,8 @@ def recurrent_factors(
     """
     if tail_start is None:
         tail_start = horizon // 100
+    if tail_start < 0:
+        raise ValueError("tail_start must be nonnegative")
     if min_count < 2:
         raise ValueError("min_count must be >= 2")
     if tail_start + n > horizon:

@@ -19,8 +19,8 @@ from gehman.coding import (
     SymbolStream,
     _array_spectrum,
     _packed_windows,
-    _run_starts,
     _Spectrum,
+    _tally,
     factors,
     recurrent_factors,
 )
@@ -111,11 +111,10 @@ class DiamondStream(SymbolStream):
         packed from raw segments of the interleaving, cut from the same
         blocks :meth:`_extend_to` writes (or sliced from the buffer when
         it holds them); the last segment also gives ``tail``.  When
-        k_hi < k_lo, or n is not a packable length, the whole range is
-        packed raw.  The sources are asked for the prefix that
-        ``array(horizon)`` asks them for, so a short or colliding source
-        raises the same error.  The weighted values are merged by one
-        sort with the weights of each run summed.
+        k_hi < k_lo the whole range is packed raw.  The sources are
+        asked for the prefix that ``array(horizon)`` asks them for, so a
+        short or colliding source raises the same error.  The weighted
+        values are merged by one :func:`_tally`.
         """
         if horizon < 1:
             return super()._window_spectrum(n, horizon, tail_start)
@@ -129,7 +128,7 @@ class DiamondStream(SymbolStream):
         k_hi = isqrt(max(edge, 0))
         if k_hi * (k_hi + 1) > edge:
             k_hi -= 1
-        if k_hi < k_lo or not 1 <= n <= 64:
+        if k_hi < k_lo:
             return _array_spectrum(self._segment(a, b, tail_start, horizon), n)
         aw = _packed_windows(a[:k_hi], n)
         bw = _packed_windows(b[:k_hi], n)
@@ -146,13 +145,9 @@ class DiamondStream(SymbolStream):
         once = [_packed_windows(head, n), ab.ravel(), ba.ravel(), _packed_windows(rest, n)]
         values = np.concatenate([aw, bw, *once])
         ones = np.ones(sum(w.size for w in once), dtype=weight.dtype)
-        weights = np.concatenate([weight, weight, ones])
-        order = np.argsort(values)
-        values = values[order]
-        starts = _run_starts(values)
-        counts = np.add.reduceat(weights[order], starts)
+        values, counts = _tally(values, np.concatenate([weight, weight, ones]))
         tail = rest[rest.shape[0] - n + 1:].copy()
-        return _Spectrum(n, values[starts], counts, tail)
+        return _Spectrum(n, values, counts, tail)
 
     def symbol(self, i: int) -> int:
         # O(1) index arithmetic plus one source lookup; the memoized

@@ -732,6 +732,23 @@ class TestSturmian:
         with pytest.raises(ValueError, match="max_shift must be >= 1"):
             sturmian_no_LY_check(SQRT2_4, max_shift, 2_000, 10)
 
+    @pytest.mark.parametrize("N,m", [(0, 10), (2_000, 0)])
+    def test_rejects_empty_scan_before_any_certificate(self, N, m, monkeypatch, capsys):
+        calls = []
+        real = coding.AtomProfile.depth_for
+
+        def spy(self, delta, *args):
+            calls.append(delta)
+            return real(self, delta, *args)
+
+        monkeypatch.setattr(coding.AtomProfile, "depth_for", spy)
+        with pytest.raises(ValueError, match=r"need N >= 1 and m >= 1"):
+            sturmian_no_LY_check(SQRT2_4, 6, N, m)
+        assert calls == []
+        flags = ["--horizon", str(N), "--resolution", str(m)]
+        assert main(["sturmian-check", "--max-shift", "6", *flags]) == 2
+        assert capsys.readouterr().err == "error: need N >= 1 and m >= 1\n"
+
 
 class TestSclosed:
     def test_positive_control(self):

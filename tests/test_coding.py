@@ -19,7 +19,6 @@ from gehman import coding
 from gehman.chaoscan import certified_b_distality, omega_scrambled_check
 from gehman.coding import (
     _BLOCK,
-    _CHUNK,
     AtomProfile,
     CutPointCollision,
     _packed_windows,
@@ -28,7 +27,6 @@ from gehman.coding import (
     RotationCoding,
     SymbolStream,
     WordStream,
-    _near_blocks,
     _near_cuts,
     _packed_bits,
     atom_profile,
@@ -288,7 +286,7 @@ class TestNearCutCount:
         assert _near_cuts(*piece) == int(near.sum())
         assert not (screen & ~near).any()
 
-    @pytest.mark.parametrize("n", [1, 2, 300, _BLOCK + 1, 4 * _CHUNK])
+    @pytest.mark.parametrize("n", [1, 2, 300, _BLOCK + 1, 4 * _BLOCK])
     @pytest.mark.parametrize("at", ["first", "last"])
     @pytest.mark.parametrize("cut", [0, 2**62])
     @pytest.mark.parametrize("end", ["low", "high"])
@@ -371,56 +369,36 @@ PLANTED = {
 
 
 class TestNearBlocks:
-    """Per-block counts find exactly the blocks that hold near points."""
-
-    @settings(max_examples=200)
-    @given(pieces(), st.data())
-    def test_sub_range_count_against_brute_force(self, piece, data):
-        # the window stays at the piece length n over any sub-range
-        x0, a, n = piece
-        j0 = data.draw(st.integers(0, n))
-        j1 = data.draw(st.integers(j0, n))
-        near, _ = piece_flags(x0, a, n)
-        assert _near_cuts(x0 + j0 * a, a, j1 - j0, n) == int(near[j0:j1].sum())
-
-    @settings(max_examples=200)
-    @given(pieces(), st.integers(1, 700))
-    def test_blocks_against_brute_force(self, piece, size):
-        x0, a, n = piece
-        near, _ = piece_flags(x0, a, n)
-        want = sorted({j - j % size for j in np.flatnonzero(near).tolist()})
-        assert _near_blocks(x0, a, n, size) == want
+    """An extension that holds a near point screens every block."""
 
     @pytest.mark.parametrize("case", PLANTED.values(), ids=PLANTED.keys())
     def test_only_planted_blocks_run_the_screen(self, case, monkeypatch):
         a, x0, n, blocks = case
         near, _ = piece_flags(x0, a, n)
         assert sorted({j - j % _BLOCK for j in np.flatnonzero(near).tolist()}) == blocks
-        assert _near_blocks(x0, a, n, _BLOCK) == blocks
+        assert _near_cuts(x0, a, n) == int(near.sum())
         rc = planted(a, x0)
         screened = spy_screen(monkeypatch)
         assert rc.prefix(n) == reference_walk(rc.start, rc.alpha, 0, n)
-        assert screened == blocks
+        assert screened == list(range(0, n, _BLOCK))
 
     @pytest.mark.parametrize("cut", ["0", "1/4"])
     @pytest.mark.parametrize("block", [0, 17, 31])
     def test_collision_raises_at_its_index(self, cut, block, monkeypatch):
         # symbol k+1 sits exactly on the cut, in block `block` of one
-        # 2^20-symbol extension; the blocks up to it that hold near
-        # points, and no later one, run the screen, and none of the
-        # extension is published
+        # 2^20-symbol extension; every block up to it, and no later one,
+        # runs the screen, and none of the extension is published
         k = block * _BLOCK + 4321
         alpha = QuadSurd(isqrt(2 * 10**24), -(10**12), 2)
         rc = RotationCoding(mod1(Fraction(cut) - k * alpha), alpha)
         x0 = surd_floor(rc._u0 << 64, rc._v0 << 64, rc._d, rc._den) % 2**64
-        blocks = _near_blocks(x0, rc._a, BIG, _BLOCK)
-        assert block * _BLOCK in blocks
+        assert _near_cuts(x0, rc._a, BIG)
         screened = spy_screen(monkeypatch)
         msg = re.escape(f"cut-point collision at symbol index {k + 1} (point {cut})")
         with pytest.raises(CutPointCollision, match=msg) as ei:
             rc.array(BIG)
         assert ei.value.index == k + 1
-        assert screened == [b for b in blocks if b <= block * _BLOCK]
+        assert screened == list(range(0, (block + 1) * _BLOCK, _BLOCK))
         assert len(rc._buf) == 0
 
 
@@ -456,7 +434,7 @@ class TestNearBand:
         assert len(exact) <= (band[1] - band[0]) // 2
 
 
-EDGE_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _CHUNK + 1]
+EDGE_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _BLOCK + 1]
 EDGE_SPECS = ["A:1/3+1/4*sqrt(2)", "pt:1/8@2000000000-1414213562*sqrt(2)"]
 
 
@@ -618,7 +596,7 @@ class TestPacked:
 
     @pytest.mark.parametrize("kind,n1,n2", [
         ("periodic", 10, 40),  # the buffer holds 15 symbols at n1
-        ("rotation", _CHUNK + 70, _CHUNK + 100),  # one extension of 2^15 apart
+        ("rotation", _BLOCK + 70, _BLOCK + 100),  # one extension of 2^15 apart
     ])
     def test_longer_request_in_the_same_last_word(self, kind, n1, n2, monkeypatch):
         # n2 falls in the partly packed last word of n1: the word is
@@ -638,7 +616,7 @@ class TestPacked:
         x = RotationCoding(Fraction(1, 3), SQRT3_8)
         whole = x.packed(5000)
         sizes = spy_packs(monkeypatch)
-        for n in (0, 1, 64, 4999, 5000, _CHUNK):
+        for n in (0, 1, 64, 4999, 5000, _BLOCK):
             assert np.shares_memory(x.packed(n), whole)
         assert sizes == []
 
@@ -757,6 +735,11 @@ class TestWordMachinery:
     def test_recurrent_discards_transient(self):
         x = WordStream("0" * 10 + "1" * 500)
         assert recurrent_factors(x, 2, 500, tail_start=100) == {"11"}
+
+    @pytest.mark.parametrize("stream", [a_stream, x_stream], ids=["a", "x"])
+    def test_recurrent_rejects_negative_tail_start(self, stream):
+        with pytest.raises(ValueError, match="^tail_start must be nonnegative$"):
+            recurrent_factors(stream("000"), 3, 1000, tail_start=-20, min_count=2)
 
     def test_recurrent_periodic(self):
         assert recurrent_factors(PeriodicStream("01"), 2, 1000) == {"01", "10"}
@@ -1026,6 +1009,18 @@ class TestDiamondSpectrum:
         u, v = ("".join(rng.choice("01") for _ in range(64)) for _ in "uv")
         assert_same_spectrum(*self.both(u, v, n, horizon, tail_start))
         assert raw_packs == [n]  # the whole range is packed raw
+
+    @pytest.mark.parametrize("n", [0, 65])
+    @pytest.mark.parametrize("horizon, tail_start, raw", [(30, 25, True), (8_000, 100, False)])
+    def test_unpackable_length_raises(self, n, horizon, tail_start, raw, raw_packs):
+        # symbols 26..30 lie inside block 6 and are packed raw; 101..8000
+        # hold whole blocks up to 88, which the block path packs
+        rng = random.Random(n)
+        u, v = ("".join(rng.choice("01") for _ in range(90)) for _ in "uv")
+        with pytest.raises(ValueError) as err:
+            diamond_of(u, v)._window_spectrum(n, horizon, tail_start)
+        assert str(err.value) == "factor length must be in 1..64 (bit-packed)"
+        assert raw_packs == ([n] if raw else [])
 
     def test_buffered_symbols_are_sliced(self):
         rng = random.Random(5)
