@@ -37,7 +37,6 @@ from gehman.diamond import (
     DiamondStream,
     block_start,
     crossover_split,
-    diamond,
     position_decode,
 )
 from gehman.family import (
@@ -105,7 +104,6 @@ __all__ = [
     "circle_distance",
     "classify_pair",
     "crossover_split",
-    "diamond",
     "dist",
     "emit_graph",
     "factors",

@@ -794,8 +794,13 @@ def omega_scrambled_check(
     short lengths is not a counterexample to omega-scrambling.
     """
     cs, ct = _code(s), _code(t)
-    if cs.s == ct.s:
-        raise ValueError("omega_scrambled_check requires distinct codes")
+    alpha, r = alpha_of(cs, config), r_of(cs, config)
+    if (alpha, r) == (alpha_of(ct, config), r_of(ct, config)):
+        # alpha_s and r_s ignore trailing zeros, so e.g. 000 and 0000 are one point
+        raise ValueError(
+            f"codes {cs} and {ct} alias: both have angle alpha = {alpha} and "
+            f"base point r = {r}, so x_{cs} and x_{ct} coincide"
+        )
     if tail_start is None:
         tail_start = horizon // 100
     xs = x_stream(cs, config)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from gehman.chaoscan import (
-    VERDICT_LY,
+    DistalityCertificate,
     certified_b_distality,
     classify_pair,
     lcp_series,
@@ -40,7 +40,7 @@ from gehman.coding import (
     SymbolStream,
     sturmian_stream,
 )
-from gehman.diamond import diamond, omega_lower_check, omega_upper_check
+from gehman.diamond import DiamondStream, omega_lower_check, omega_upper_check
 from gehman.dendrite import (
     Branch,
     End,
@@ -48,7 +48,6 @@ from gehman.dendrite import (
     Root,
     ROOT,
     apply_f,
-    contains_arc,
     emit_graph,
     f_invariance_check,
     family_model,
@@ -119,7 +118,7 @@ def parse_stream_spec(spec: str) -> SymbolStream:
     spec = spec.strip()
     if spec.startswith("diamond(") and spec.endswith(")"):
         left, right = _split_two(spec[len("diamond("):-1], spec)
-        return diamond(parse_stream_spec(left), parse_stream_spec(right))
+        return DiamondStream(parse_stream_spec(left), parse_stream_spec(right))
     head, sep, rest = spec.partition(":")
     if not sep:
         raise SpecError(f"stream spec {spec!r} is missing ':'")
@@ -306,18 +305,24 @@ def cmd_diamond(args: argparse.Namespace) -> int:
     return EXIT_OK if lower.passed and upper.passed else EXIT_VERIFY
 
 
-def _auto_certificate(x_spec: str, y_spec: str):
-    # certified bounds exist for family points riding on the b-side offset
-    kinds = []
-    for spec in (x_spec.strip(), y_spec.strip()):
-        head, sep, rest = spec.partition(":")
-        if sep and head in ("x", "b"):
-            kinds.append(rest)
-        else:
-            return None
-    if kinds[0] == kinds[1]:
-        return None
-    return certified_b_distality(kinds[0], kinds[1])
+def _certificates(points: list[SymbolStream]) -> dict[tuple[str, str], DistalityCertificate]:
+    """The distality certificates of a point list, by label pair.
+
+    A pair carries one when both points are x-points or both are
+    b-points of the family, with different codes; a family point is
+    labelled by its kind and code, e.g. ``b:011``.  The x-pair and the
+    b-pair of one code pair share one certificate, whose subject is the
+    b-pair.  Codes that name one base point raise ``ValueError``.
+    """
+    certify = functools.cache(certified_b_distality)  # shared within this call only
+    certs = {}
+    for i, p in enumerate(points):
+        kind, _, s = p.label.partition(":")
+        for q in points[i + 1:]:
+            other, _, t = q.label.partition(":")
+            if kind == other and kind in ("x", "b") and s != t:
+                certs[p.label, q.label] = certify(s, t)
+    return certs
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
@@ -325,7 +330,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
     x = parse_stream_spec(args.x)
     y = parse_stream_spec(args.y)
     # the certificate is built for every format, so aliasing codes exit 2
-    cert = _auto_certificate(args.x, args.y)
+    cert = _certificates([x, y]).get((x.label, y.label))
     if args.fmt == "csv":
         series = lcp_series(x, y, N, m + 1)
         rows = ["n,lcp,dist_exponent"]
@@ -358,15 +363,7 @@ def _scan_points(codes: list[str], include_limits: bool):
     if include_limits:
         points.extend(a_stream(c) for c in codes)
         points.extend(b_stream(c) for c in codes)
-    certs = {}
-    for i, s in enumerate(codes):
-        for t in codes[i + 1:]:
-            # one certificate bounds both pairs: its subject is the b-pair
-            cert = certified_b_distality(s, t)
-            certs[(f"x:{s}", f"x:{t}")] = cert
-            if include_limits:
-                certs[(f"b:{s}", f"b:{t}")] = cert
-    return points, certs
+    return points, _certificates(points)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -484,7 +481,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         raise SpecError("steps must be >= 1")
     model = _dendrite_model(args)
     pt = parse_point_literal(args.point)
-    if isinstance(pt, (Branch, Interior)) and not contains_arc(model, pt.w):
+    if isinstance(pt, (Branch, Interior)) and not model.accepts(pt.w):
         raise SpecError(f"address rejected by the model: {pt.w!r}")
     lines = []
     if isinstance(pt, Root):

@@ -13,6 +13,7 @@ and negative controls plug in beside the family subshift.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Union
@@ -134,20 +135,15 @@ def family_model(
 ) -> DendriteModel:
     """Model over the family subshift, inner-approximated by factor scan."""
     code_list = tuple(codes) if codes is not None else DEFAULT_CODES
-    languages: dict[int, set[str]] = {}
+
+    @functools.cache
+    def language(n: int) -> set[str]:
+        return language_of_X(code_list, n, horizon, config)
 
     def oracle(w: str) -> bool:
-        lang = languages.get(len(w))
-        if lang is None:
-            lang = language_of_X(code_list, len(w), horizon, config)
-            languages[len(w)] = lang
-        return w in lang
+        return w in language(len(w))
 
     return DendriteModel(oracle, name=f"family[{len(code_list)} codes]")
-
-
-def contains_arc(model: DendriteModel, w: str) -> bool:
-    return model.accepts(_check_word(w))
 
 
 def _require_arc(model: DendriteModel, w: str) -> None:
@@ -203,15 +199,6 @@ def _word_of(pt: DendritePoint) -> str:
     return "" if isinstance(pt, Root) else pt.w
 
 
-def _common_prefix(u: str, v: str) -> int:
-    c = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        c += 1
-    return c
-
-
 def path_dist(u: DendritePoint, v: DendritePoint, cap: int = 64) -> DistBound:
     """Length of the unique path between u and v under the 2^-|w| metric.
 
@@ -228,12 +215,13 @@ def path_dist(u: DendritePoint, v: DendritePoint, cap: int = 64) -> DistBound:
         wf = _word_of(f)
         if not wf:
             return DistBound(Fraction(1), exact=True)
-        c = _common_prefix(wf, e.stream.word(len(wf)))
+        c = lcp(wf, e.stream, len(wf))
         if c == len(wf):
             return DistBound(1 - _depth(f), exact=True)
         return DistBound(_depth(f) + 1 - 2 * (1 - Fraction(1, 2**c)), exact=True)
     wu, wv = _word_of(u), _word_of(v)
-    c = _common_prefix(wu, wv)
+    # lcp stops at the shorter word, so any cap past it will do
+    c = lcp(wu, wv, len(wu) + 1)
     if c == len(wu) or c == len(wv):
         # one root path contains the other point
         return DistBound(abs(_depth(u) - _depth(v)), exact=True)

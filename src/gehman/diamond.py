@@ -1,10 +1,11 @@
 """The diamond interleaving of two streams and its position arithmetic.
 
-``diamond(a, b)`` lays out blocks a_1 b_1, a_1 a_2 b_1 b_2, ... : block k
-is the length-k prefix of ``a`` followed by the length-k prefix of ``b``.
-Block k occupies global positions k(k-1)+1 .. k(k+1) (1-based), which
-gives O(1) random access through an integer square root.  Window
-spectra are counted from the blocks, without writing the stream out.
+``DiamondStream(a, b)`` lays out blocks a_1 b_1, a_1 a_2 b_1 b_2, ... :
+block k is the length-k prefix of ``a`` followed by the length-k prefix
+of ``b``.  Block k occupies global positions k(k-1)+1 .. k(k+1)
+(1-based), which gives O(1) random access through an integer square
+root.  Window spectra are counted from the blocks, without writing the
+stream out.
 """
 
 from __future__ import annotations
@@ -157,11 +158,6 @@ class DiamondStream(SymbolStream):
         return stream.symbol(j)
 
 
-def diamond(a: SymbolStream, b: SymbolStream) -> DiamondStream:
-    """The interleaved stream a ⋄ b."""
-    return DiamondStream(a, b)
-
-
 # -- omega-limit inclusion checks -----------------------------------------
 
 
@@ -197,9 +193,9 @@ def omega_lower_check(
 
     Every length-n factor of ``a`` and of ``b`` (within source_horizon)
     must appear at least min_count times beyond tail_start in
-    ``subject`` (default diamond(a, b)) over the horizon.  A caller that
-    holds the interleaving already passes it, so its symbols and factor
-    spectrum are reused.
+    ``subject`` (default DiamondStream(a, b)) over the horizon.  A
+    caller that holds the interleaving already passes it, so its symbols
+    and factor spectrum are reused.
     """
     if tail_start is None:
         tail_start = horizon // 100
@@ -215,7 +211,7 @@ def omega_lower_check(
     if tail_start + n > horizon or source_horizon < n:
         return InclusionReport(status="insufficient horizon", params=params)
     if subject is None:
-        subject = diamond(a, b)
+        subject = DiamondStream(a, b)
     wanted = factors(a, n, source_horizon) | factors(b, n, source_horizon)
     seen = recurrent_factors(subject, n, horizon, tail_start, min_count)
     missing = sorted(wanted - seen)
@@ -289,7 +285,7 @@ def omega_upper_check(
 ) -> InclusionReport:
     """Check that every recurrent factor of the interleaving is explained.
 
-    Each recurrent length-n word of ``subject`` (default diamond(a, b))
+    Each recurrent length-n word of ``subject`` (default DiamondStream(a, b))
     must be an a-factor, a b-factor, or a crossover split; unexplained
     words are violations.  ``subject`` exists for negative controls.
     """
@@ -305,7 +301,7 @@ def omega_upper_check(
     if tail_start + n > horizon or source_horizon < n:
         return InclusionReport(status="insufficient horizon", params=params)
     if subject is None:
-        subject = diamond(a, b)
+        subject = DiamondStream(a, b)
     words = recurrent_factors(subject, n, horizon, tail_start, min_count)
     a_tables = _factor_tables(a, n, source_horizon)
     b_tables = _factor_tables(b, n, source_horizon)

@@ -74,6 +74,19 @@ class FamilyConfig:
     r_weight: int = 3
     beta: QuadSurd = QuadSurd(0, Fraction(1, 8), 3)
 
+    def __post_init__(self):
+        # the Cantor and monotone argument needs weights >= 3: weight 1
+        # gives alpha_01 = alpha_10, and r_weight 2 puts r_01 on the cut 1/4
+        for name in ("alpha_weight", "r_weight"):
+            weight = getattr(self, name)
+            if weight < 3:
+                raise ValueError(f"{name} must be at least 3, got {weight}")
+        # a rational angle gives a periodic coding, and lets an orbit hit a cut
+        for name in ("alpha_base", "beta"):
+            value = getattr(self, name)
+            if not isinstance(value, QuadSurd) or value.is_rational:
+                raise ValueError(f"{name} must be an irrational QuadSurd, got {value!r}")
+
 
 DEFAULT_CONFIG = FamilyConfig()
 

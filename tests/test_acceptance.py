@@ -50,7 +50,7 @@ from gehman.dendrite import (
     steps_to_root,
 )
 from gehman.diamond import (
-    diamond,
+    DiamondStream,
     omega_lower_check,
     omega_upper_check,
     position_decode,
@@ -99,7 +99,7 @@ def test_c01_exactness_against_interval_oracle():
 
 
 def test_c02_diamond_layout_and_decode():
-    prefix = diamond(PeriodicStream("0"), PeriodicStream("1")).word(12)
+    prefix = DiamondStream(PeriodicStream("0"), PeriodicStream("1")).word(12)
     tags = []
     k = 0
     while len(tags) < 100_000:

@@ -1,6 +1,8 @@
 """End-to-end CLI tests via subprocess: grammar, formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -195,6 +197,79 @@ class TestPairCmd:
         assert "verdict: distal-candidate" in p.stdout.splitlines()
 
 
+def run_main(*args):
+    """Exit code and stdout of one in-process CLI call."""
+    from gehman.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(args))
+    return code, out.getvalue()
+
+
+_RULE_ARGS = ("--horizon", "100000", "--resolution", "20")
+_SQRT2_4 = "A:1/4*sqrt(2)"
+# (x, y, certified): a pair carries a distality certificate exactly when
+# both points are x-points or both are b-points, with different codes.
+_CERTIFICATE_RULE = [
+    ("x:000", "x:011", True), ("x:011", "x:000", True),
+    ("b:000", "b:011", True), ("b:011", "b:000", True),
+    ("x:000", "x:000", False), ("b:011", "b:011", False),
+    ("x:000", "b:011", False), ("b:011", "x:000", False),
+    ("x:011", "b:000", False), ("b:000", "x:011", False),
+    ("x:000", "b:0000", False), ("b:0000", "x:000", False),
+    ("a:000", "a:011", False), ("a:000", "a:000", False),
+    ("a:000", "b:011", False), ("b:011", "a:000", False),
+    ("a:011", "x:000", False), ("x:000", "a:011", False),
+    ("per:01", "per:011", False), ("per:01", "per:01", False),
+    ("per:01", "b:011", False), ("x:000", "per:01", False),
+    (_SQRT2_4, "A:1/8*sqrt(2)", False), (_SQRT2_4, _SQRT2_4, False),
+    (_SQRT2_4, "x:011", False), ("b:000", _SQRT2_4, False),
+]
+# the fields of a pair's record that do not depend on its order
+_SYMMETRIC_FIELDS = ("verdict", "N", "m", "proximal", "nonasymptotic",
+                     "certified_bound", "max_lcp")
+
+
+class TestCertificateRule:
+    @pytest.fixture(scope="class")
+    def scan_records(self):
+        code, out = run_main(
+            "scan", "--include-limits", "--codes-inline", "000,011", *_RULE_ARGS
+        )
+        assert code in (0, 3)
+        records = [json.loads(line) for line in out.splitlines()[:-1]]
+        return {(r["x"], r["y"]): r for r in records}
+
+    @pytest.mark.parametrize("x,y,certified", _CERTIFICATE_RULE)
+    def test_pair(self, x, y, certified, scan_records):
+        code, out = run_main("pair", x, y, *_RULE_ARGS)
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["certified_bound"] is not None) == certified
+        assert ("bound_check" in rec) == certified
+        if (x, y) in scan_records:
+            assert rec == scan_records[x, y]
+        if (y, x) in scan_records:
+            want = scan_records[y, x]
+            assert {k: rec[k] for k in _SYMMETRIC_FIELDS} == {
+                k: want[k] for k in _SYMMETRIC_FIELDS
+            }
+
+    def test_scan_shares_one_certificate_per_code_pair(self):
+        from gehman.cli import _scan_points
+
+        _, certs = _scan_points(["000", "011"], include_limits=True)
+        assert sorted(certs) == [("b:000", "b:011"), ("x:000", "x:011")]
+        assert certs["x:000", "x:011"] is certs["b:000", "b:011"]
+
+    def test_scan_covers_every_x_b_pair(self, scan_records):
+        family = [f"{k}:{c}" for k in "xb" for c in ("000", "011")]
+        for i, p in enumerate(family):
+            for q in family[i + 1:]:
+                assert (p, q) in scan_records or (q, p) in scan_records
+
+
 class TestScanCmd:
     def test_two_codes_no_edges(self):
         p = run_cli(
@@ -270,6 +345,13 @@ class TestOmegaCmd:
 
     def test_identical_codes_rejected(self):
         assert run_cli("omega", "000", "000").returncode == 2
+
+    def test_aliasing_codes_rejected(self):
+        # 000 and 0000 are distinct strings but one point x_000
+        p = run_cli("omega", "000", "0000", "--factor-len", "5", "--horizon", "1000")
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr.startswith("error: codes 000 and 0000 alias")
 
     def test_quick_sets_the_horizon(self):
         p = run_cli("omega", "000", "111", "--factor-len", "8..10", "--quick")

@@ -47,7 +47,7 @@ from gehman.exactnum import (
     surd_sign_int,
 )
 from gehman.dendrite import family_model, no_isolated_points_check
-from gehman.diamond import DiamondStream, block_start, diamond
+from gehman.diamond import DiamondStream, block_start
 from gehman.family import FamilyConfig, a_stream, b_stream, x_stream
 
 SQRT2_4 = QuadSurd(0, Fraction(1, 4), 2)
@@ -519,7 +519,7 @@ class TestBufferCore:
     def test_view_survives_tenfold_growth(self):
         fresh = [
             RotationCoding(Fraction(1, 3), SQRT3_8),
-            diamond(RotationCoding(Fraction(1, 3), SQRT3_8), sturmian_stream(SQRT2_4)),
+            DiamondStream(RotationCoding(Fraction(1, 3), SQRT3_8), sturmian_stream(SQRT2_4)),
             PeriodicStream("011"),
         ]
         for x in fresh:
@@ -546,7 +546,7 @@ class TestBufferCore:
 
     def test_diamond_symbol_matches_buffer_across_block_edges(self):
         # a fresh interleaving grows block by block as the loop reads on
-        d = diamond(a_stream("0110"), b_stream("0110"))
+        d = DiamondStream(a_stream("0110"), b_stream("0110"))
         for i in range(1, 131):
             assert d.symbol(i) == d.array(i)[i - 1]
         assert d.word(130) == x_stream("0110").word(130)
@@ -575,7 +575,7 @@ PACKED_STREAMS = {
     "periodic": lambda: PeriodicStream("011"),
     "word": lambda: WordStream("0110" * 500),
     "shift": lambda: shift(RotationCoding(Fraction(1, 3), SQRT3_8), 37),
-    "diamond": lambda: diamond(a_stream("0110"), b_stream("0110")),
+    "diamond": lambda: DiamondStream(a_stream("0110"), b_stream("0110")),
 }
 
 

@@ -17,7 +17,6 @@ from gehman.dendrite import (
     Root,
     accepted_words,
     apply_f,
-    contains_arc,
     emit_graph,
     f_invariance_check,
     family_model,
@@ -173,15 +172,15 @@ class TestModels:
 
     def test_word_set_model_closure(self):
         m = word_set_model(["0110"])
-        assert contains_arc(m, "011")
-        assert not contains_arc(m, "1")
+        assert m.accepts("011")
+        assert not m.accepts("1")
         assert accepted_words(m, 2) == ["01"]
 
     def test_family_model_basics(self):
         m = family_model(horizon=10_000)
-        assert contains_arc(m, "0")
-        assert contains_arc(m, "1")
-        assert not contains_arc(m, "1010101010")
+        assert m.accepts("0")
+        assert m.accepts("1")
+        assert not m.accepts("1010101010")
 
     def test_accepted_words_full_binary(self):
         out = accepted_words(FULL, 3)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from gehman.coding import PeriodicStream, WordStream, lcp, shift
 from gehman.diamond import (
+    DiamondStream,
     block_start,
     crossover_split,
-    diamond,
     omega_lower_check,
     omega_upper_check,
     position_decode,
@@ -26,23 +26,23 @@ def brute_layout(a_word: str, b_word: str, blocks: int) -> str:
 
 class TestLayout:
     def test_constant_sources(self):
-        x = diamond(PeriodicStream("0"), PeriodicStream("1"))
+        x = DiamondStream(PeriodicStream("0"), PeriodicStream("1"))
         assert x.word(12) == "010011000111"
 
     def test_equal_sources(self):
         a = PeriodicStream("01")
         # a1 a1 | a1 a2 a1 a2
-        assert diamond(a, a).word(6) == "000101"
+        assert DiamondStream(a, a).word(6) == "000101"
 
     def test_short_source_words(self):
-        x = diamond(WordStream("0110"), WordStream("011"))
+        x = DiamondStream(WordStream("0110"), WordStream("011"))
         assert x.word(12) == "000101011011"
 
     def test_family_prefix(self):
         assert x_stream("000").word(12) == "101101111011"
 
     def test_label(self):
-        x = diamond(PeriodicStream("0"), PeriodicStream("1"))
+        x = DiamondStream(PeriodicStream("0"), PeriodicStream("1"))
         assert x.label == "diamond(per:0,per:1)"
 
     @given(
@@ -53,7 +53,7 @@ class TestLayout:
     def test_layout_matches_brute(self, wa, wb, blocks):
         a, b = PeriodicStream(wa), PeriodicStream(wb)
         n = blocks * (blocks + 1)
-        assert diamond(a, b).word(n) == brute_layout(a.word(blocks), b.word(blocks), blocks)
+        assert DiamondStream(a, b).word(n) == brute_layout(a.word(blocks), b.word(blocks), blocks)
 
 
 class TestDecode:
@@ -89,7 +89,7 @@ class TestDecode:
 
     @given(st.integers(1, 2000))
     def test_symbol_random_access(self, i):
-        x = diamond(PeriodicStream("0110"), PeriodicStream("010"))
+        x = DiamondStream(PeriodicStream("0110"), PeriodicStream("010"))
         assert str(x.symbol(i)) == x.word(i)[-1]
 
 
@@ -97,13 +97,13 @@ class TestProximalitySeed:
     @pytest.mark.parametrize("k", [5, 12, 30])
     def test_block_lcp_against_family_source(self, k):
         a = a_stream("000")
-        x = diamond(a, b_stream("000"))
+        x = DiamondStream(a, b_stream("000"))
         assert lcp(shift(x, block_start(k)), a, k) == k
 
     @given(st.integers(1, 40))
     def test_block_lcp_generic_sources(self, k):
         a, b = PeriodicStream("0110"), PeriodicStream("10")
-        assert lcp(shift(diamond(a, b), block_start(k)), a, k) == k
+        assert lcp(shift(DiamondStream(a, b), block_start(k)), a, k) == k
 
 
 class TestOmegaChecks:

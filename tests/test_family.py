@@ -97,6 +97,33 @@ class TestParameters:
         assert DEFAULT_CONFIG.beta.d == 3
         assert alpha_of("0").d == 2
 
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_alpha_weight_below_three_rejected(self, weight):
+        # weight 1 would give alpha_01 = alpha_10 = 1 + sqrt(2)/8
+        with pytest.raises(ValueError, match="alpha_weight must be at least 3"):
+            FamilyConfig(alpha_weight=weight)
+
+    def test_r_weight_below_three_rejected(self):
+        # weight 2 would put r_01 = 1/8 + 1/8 on the cut 1/4
+        with pytest.raises(ValueError, match="r_weight must be at least 3"):
+            FamilyConfig(r_weight=2)
+
+    def test_rational_alpha_base_rejected(self):
+        with pytest.raises(ValueError, match="alpha_base must be an irrational QuadSurd"):
+            FamilyConfig(alpha_base=QuadSurd(Fraction(1, 8)))
+
+    @pytest.mark.parametrize("beta", [QuadSurd(Fraction(1, 3)), QuadSurd(0, 1, 4), Fraction(1, 3)])
+    def test_rational_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be an irrational QuadSurd"):
+            FamilyConfig(beta=beta)
+
+    def test_configs_in_use_accepted(self):
+        # the non-default configs that the suites build
+        other_alpha = QuadSurd(0, Fraction(1, 5), 2)
+        FamilyConfig(alpha_base=other_alpha)
+        FamilyConfig(alpha_base=other_alpha, beta=QuadSurd(0, Fraction(1, 7), 3))
+        FamilyConfig(alpha_weight=3, r_weight=3)
+
 
 class TestStreams:
     def test_frozen_prefixes_and_labels(self):
