@@ -31,6 +31,7 @@ from gehman.family import (
     FamilyConfig,
     CodeLike,
     _code,
+    _refuse_alias,
     a_stream,
     alpha_of,
     b_stream,
@@ -527,11 +528,8 @@ def certified_b_distality(
     v = mod1(QuadSurd(r_of(ct, config)) + q * config.beta)
     delta = circle_distance(u, v)
     if delta.sign() == 0:
-        # r_s ignores trailing zeros, so e.g. 010 and 0100 share a point
-        raise ValueError(
-            f"codes {cs} and {ct} alias: both have base point "
-            f"r = {r_of(cs, config)}, so their b-orbits coincide"
-        )
+        # beta is irrational, so a zero offset means p = q and r_s = r_t
+        _refuse_alias("b", cs, ct, config)
     K = atom_profile(config.beta).depth_for(delta)
     subject = (shift(b_stream(cs, config), p), shift(b_stream(ct, config), q))
     return DistalityCertificate(
@@ -794,13 +792,7 @@ def omega_scrambled_check(
     short lengths is not a counterexample to omega-scrambling.
     """
     cs, ct = _code(s), _code(t)
-    alpha, r = alpha_of(cs, config), r_of(cs, config)
-    if (alpha, r) == (alpha_of(ct, config), r_of(ct, config)):
-        # alpha_s and r_s ignore trailing zeros, so e.g. 000 and 0000 are one point
-        raise ValueError(
-            f"codes {cs} and {ct} alias: both have angle alpha = {alpha} and "
-            f"base point r = {r}, so x_{cs} and x_{ct} coincide"
-        )
+    _refuse_alias("x", cs, ct, config)
     if tail_start is None:
         tail_start = horizon // 100
     xs = x_stream(cs, config)

@@ -59,6 +59,7 @@ from gehman.dendrite import (
 from gehman.exactnum import parse_surd
 from gehman.family import (
     DEFAULT_CODES,
+    _refuse_alias,
     a_stream,
     b_stream,
     x_stream,
@@ -312,7 +313,8 @@ def _certificates(points: list[SymbolStream]) -> dict[tuple[str, str], Distality
     b-points of the family, with different codes; a family point is
     labelled by its kind and code, e.g. ``b:011``.  The x-pair and the
     b-pair of one code pair share one certificate, whose subject is the
-    b-pair.  Codes that name one base point raise ``ValueError``.
+    b-pair.  Codes that name one point raise ``ValueError``, worded for
+    the kind of the pair.
     """
     certify = functools.cache(certified_b_distality)  # shared within this call only
     certs = {}
@@ -321,6 +323,7 @@ def _certificates(points: list[SymbolStream]) -> dict[tuple[str, str], Distality
         for q in points[i + 1:]:
             other, _, t = q.label.partition(":")
             if kind == other and kind in ("x", "b") and s != t:
+                _refuse_alias(kind, s, t)
                 certs[p.label, q.label] = certify(s, t)
     return certs
 

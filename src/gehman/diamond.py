@@ -222,55 +222,46 @@ def omega_lower_check(
     )
 
 
+# The closure cases of a word w against sources a and b, in first-match
+# order: w is a factor of a; w is a factor of b; w = u v with u a factor of
+# a and v a prefix of b; w = u v with u a factor of b and v a prefix of a.
+_CASES = ("a-side", "b-side", "crossover-ab", "crossover-ba")
+
+
 def crossover_split(
     w: str,
     a: SymbolStream,
     b: SymbolStream,
     source_horizon: int,
 ) -> str | None:
-    """Four-case membership of a word against two source streams.
+    """The closure case of a word against two source streams.
 
-    Returns "a-side" / "b-side" when w is a factor of the respective
-    source, "crossover-ab" when w = u v with u a factor of a and v a
-    prefix of b, "crossover-ba" for the symmetric split, or None when
-    nothing matches within source_horizon.
+    Returns the first of ``_CASES`` that w meets within source_horizon,
+    taking the split points w = u v in increasing order of len(u) and
+    both crossovers at each, or None when none matches.
     """
     if not w or any(c not in "01" for c in w):
         raise ValueError("w must be a nonempty 0/1 word")
-    n = len(w)
-    return _classify_word(
-        w,
-        _factor_tables(a, n, source_horizon),
-        _factor_tables(b, n, source_horizon),
-        a.word(n),
-        b.word(n),
-    )
+    return _closure_table(a, b, len(w), source_horizon).get(w)
 
 
-def _factor_tables(x: SymbolStream, n: int, horizon: int) -> dict[int, set[str]]:
+def _closure_table(a: SymbolStream, b: SymbolStream, n: int, horizon: int) -> dict:
+    """Closure case of every length-n word the sources explain, filled in
+    :func:`crossover_split`'s first-match order; a word keeps its first case."""
+    a_side, b_side, ab, ba = _CASES
     # longest first: every shorter length is read off the n-spectrum
-    return {m: factors(x, m, horizon) for m in range(n, 0, -1)}
-
-
-def _classify_word(
-    w: str,
-    a_tables: dict[int, set[str]],
-    b_tables: dict[int, set[str]],
-    a_word: str,
-    b_word: str,
-) -> str | None:
-    n = len(w)
-    if w in a_tables[n]:
-        return "a-side"
-    if w in b_tables[n]:
-        return "b-side"
+    a_langs = {m: factors(a, m, horizon) for m in range(n, 0, -1)}
+    b_langs = {m: factors(b, m, horizon) for m in range(n, 0, -1)}
+    a_word, b_word = a.word(n), b.word(n)
+    steps = [(a_side, a_langs[n], ""), (b_side, b_langs[n], "")]
     for cut in range(1, n):
-        u, v = w[:cut], w[cut:]
-        if u in a_tables[cut] and b_word.startswith(v):
-            return "crossover-ab"
-        if u in b_tables[cut] and a_word.startswith(v):
-            return "crossover-ba"
-    return None
+        steps.append((ab, a_langs[cut], b_word[:n - cut]))
+        steps.append((ba, b_langs[cut], a_word[:n - cut]))
+    table = {}
+    for case, heads, tail in steps:
+        for u in heads:
+            table.setdefault(u + tail, case)
+    return table
 
 
 def omega_upper_check(
@@ -287,7 +278,9 @@ def omega_upper_check(
 
     Each recurrent length-n word of ``subject`` (default DiamondStream(a, b))
     must be an a-factor, a b-factor, or a crossover split; unexplained
-    words are violations.  ``subject`` exists for negative controls.
+    words are violations.  ``subject`` serves negative controls, and it
+    lets a caller that holds the interleaving reuse its symbols and
+    window spectrum, as ``cmd_diamond`` does with x_s.
     """
     if tail_start is None:
         tail_start = horizon // 100
@@ -303,14 +296,11 @@ def omega_upper_check(
     if subject is None:
         subject = DiamondStream(a, b)
     words = recurrent_factors(subject, n, horizon, tail_start, min_count)
-    a_tables = _factor_tables(a, n, source_horizon)
-    b_tables = _factor_tables(b, n, source_horizon)
-    a_word = a.word(n)
-    b_word = b.word(n)
-    counts = {"a-side": 0, "b-side": 0, "crossover-ab": 0, "crossover-ba": 0}
+    table = _closure_table(a, b, n, source_horizon)
+    counts = dict.fromkeys(_CASES, 0)
     violations = []
     for w in sorted(words):
-        case = _classify_word(w, a_tables, b_tables, a_word, b_word)
+        case = table.get(w)
         if case is None:
             violations.append(w)
         else:

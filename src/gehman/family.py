@@ -86,6 +86,20 @@ class FamilyConfig:
             value = getattr(self, name)
             if not isinstance(value, QuadSurd) or value.is_rational:
                 raise ValueError(f"{name} must be an irrational QuadSurd, got {value!r}")
+        if not isinstance(self.r_base, (int, Fraction)):
+            raise ValueError(f"r_base must be a Fraction, got {self.r_base!r}")
+        # r_s - r_base = N / w^21 for the integer N < w^20 whose 20 base-w
+        # digits are the code padded with zeros, so some code puts r_s on a
+        # cut c mod 1 iff ((c - r_base) mod 1) * w^21 is such an N
+        w = self.r_weight
+        for cut in (Fraction(0), Fraction(1, 4)):
+            N = (cut - self.r_base) % 1 * w ** (MAX_CODE_LEN + 1)
+            digits = [int(N) // w ** i % w for i in range(MAX_CODE_LEN - 1, -1, -1)]
+            if N.denominator == 1 and N < w ** MAX_CODE_LEN and max(digits) <= 1:
+                code = "".join(map(str, digits)).rstrip("0") or "0"
+                raise ValueError(
+                    f"r_base = {self.r_base} puts r_s on the cut {cut} for code {code}"
+                )
 
 
 DEFAULT_CONFIG = FamilyConfig()
@@ -102,12 +116,33 @@ def alpha_of(s: CodeLike, config: FamilyConfig = DEFAULT_CONFIG) -> QuadSurd:
 
 
 def r_of(s: CodeLike, config: FamilyConfig = DEFAULT_CONFIG) -> Fraction:
-    """Exact rational base point r_s; never 0 or 1/4 (denominator is a
-    power of 3 times 8)."""
+    """Exact rational base point r_s; never 0 or 1/4 mod 1, which
+    :class:`FamilyConfig` checks for every code."""
     code = _code(s)
     return config.r_base + sum(
         Fraction(int(c), config.r_weight ** (i + 2)) for i, c in enumerate(code.s)
     )
+
+
+def _refuse_alias(
+    kind: str, s: CodeLike, t: CodeLike, config: FamilyConfig = DEFAULT_CONFIG
+) -> None:
+    """Raise ValueError when codes s and t name one point of ``kind``, "x" or "b".
+
+    r_s and alpha_s ignore trailing zeros, so e.g. 010 and 0100 alias.
+    With weights >= 3 the first differing digit outweighs all later
+    ones, so no other two codes share r_s, nor alpha_s.
+    """
+    cs, ct = _code(s), _code(t)
+    if cs.s.rstrip("0") != ct.s.rstrip("0"):
+        return
+    r = r_of(cs, config)
+    if kind == "b":
+        why = f"base point r = {r}, so their b-orbits coincide"
+    else:
+        alpha = alpha_of(cs, config)
+        why = f"angle alpha = {alpha} and base point r = {r}, so x_{cs} and x_{ct} coincide"
+    raise ValueError(f"codes {cs} and {ct} alias: both have {why}")
 
 
 def a_stream(s: CodeLike, config: FamilyConfig = DEFAULT_CONFIG) -> RotationCoding:

@@ -263,6 +263,21 @@ class TestCertificateRule:
         assert sorted(certs) == [("b:000", "b:011"), ("x:000", "x:011")]
         assert certs["x:000", "x:011"] is certs["b:000", "b:011"]
 
+    @pytest.mark.parametrize(
+        "args, ending",
+        [
+            (("pair", "x:010", "x:0100"), "so x_010 and x_0100 coincide"),
+            (("pair", "b:010", "b:0100"), "so their b-orbits coincide"),
+            (("scan", "--codes-inline", "010,0100"), "so x_010 and x_0100 coincide"),
+        ],
+    )
+    def test_alias_message_names_the_points_asked_about(self, args, ending):
+        p = run_cli(*args, "--horizon", "100")
+        assert p.returncode == 2
+        assert p.stderr.startswith("error: codes 010 and 0100 alias")
+        assert p.stderr.rstrip().endswith(ending)
+        assert p.stdout == ""
+
     def test_scan_covers_every_x_b_pair(self, scan_records):
         family = [f"{k}:{c}" for k in "xb" for c in ("000", "011")]
         for i, p in enumerate(family):

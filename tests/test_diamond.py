@@ -1,12 +1,16 @@
 """Diamond interleaving: layout arithmetic and omega-limit inclusion checks."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gehman.coding import PeriodicStream, WordStream, lcp, shift
+from gehman.coding import PeriodicStream, WordStream, factors, lcp, recurrent_factors, shift
 from gehman.diamond import (
     DiamondStream,
+    _closure_table,
     block_start,
     crossover_split,
     omega_lower_check,
@@ -190,3 +194,66 @@ class TestOmegaChecks:
         assert crossover_split("0011", a, b, 100) == "crossover-ab"
         assert crossover_split("1100", a, b, 100) == "crossover-ba"
         assert crossover_split("0101", a, b, 100) is None
+
+
+def reference_tables(x, n, horizon):
+    """Factor sets of x at lengths n..1, one per length."""
+    return {m: factors(x, m, horizon) for m in range(n, 0, -1)}
+
+
+def reference_closure_case(w, a_tables, b_tables, a_word, b_word):
+    """The closure case of w by slicing it at every split point.
+
+    The classifier the closure table replaced, kept as its reference.
+    """
+    n = len(w)
+    if w in a_tables[n]:
+        return "a-side"
+    if w in b_tables[n]:
+        return "b-side"
+    for cut in range(1, n):
+        u, v = w[:cut], w[cut:]
+        if u in a_tables[cut] and b_word.startswith(v):
+            return "crossover-ab"
+        if u in b_tables[cut] and a_word.startswith(v):
+            return "crossover-ba"
+    return None
+
+
+codes = st.text("01", min_size=1, max_size=6)
+sources = st.one_of(
+    st.builds(PeriodicStream, st.text("01", min_size=1, max_size=8)),
+    st.builds(a_stream, codes),
+    st.builds(b_stream, codes),
+)
+
+
+class TestClosureTable:
+    @given(sources, sources, st.integers(1, 10), st.data())
+    def test_matches_reference_classifier(self, a, b, n, data):
+        horizon = data.draw(st.integers(n, 300))
+        table = _closure_table(a, b, n, horizon)
+        tables = reference_tables(a, n, horizon), reference_tables(b, n, horizon)
+        want = {}
+        for w in map("".join, product("01", repeat=n)):
+            case = reference_closure_case(w, *tables, a.word(n), b.word(n))
+            if case is not None:
+                want[w] = case
+        assert table == want
+
+    def test_earlier_split_wins(self):
+        # 10001 is crossover-ba at split 2 (10 | 001) and crossover-ab at
+        # split 3 (100 | 01); the earlier split point decides.
+        a, b = PeriodicStream("001"), PeriodicStream("0111")
+        assert "10001" not in factors(a, 5, 100) | factors(b, 5, 100)
+        assert "100" in factors(a, 3, 100) and b.word(2) == "01"
+        assert "10" in factors(b, 2, 100) and a.word(3) == "001"
+        assert crossover_split("10001", a, b, 100) == "crossover-ba"
+
+    def test_split_agrees_with_upper_case_counts(self):
+        a, b, x = a_stream("110"), b_stream("110"), x_stream("110")
+        rep = omega_upper_check(a, b, 12, 1_000_000, source_horizon=10_000, subject=x)
+        words = recurrent_factors(x, 12, 1_000_000, 10_000, 5)
+        cases = Counter(crossover_split(w, a, b, 10_000) for w in words)
+        assert cases.pop(None, 0) == len(rep.violations)
+        assert cases == Counter(rep.case_counts)

@@ -16,6 +16,7 @@ from gehman.family import (
     MAX_CODE_LEN,
     AlphaCode,
     FamilyConfig,
+    _refuse_alias,
     a_stream,
     alpha_of,
     b_stream,
@@ -116,6 +117,54 @@ class TestParameters:
     def test_rational_beta_rejected(self, beta):
         with pytest.raises(ValueError, match="beta must be an irrational QuadSurd"):
             FamilyConfig(beta=beta)
+
+    @pytest.mark.parametrize(
+        "r_base", [Fraction(1, 4), Fraction(0), Fraction(5, 4), Fraction(5, 36)]
+    )
+    def test_r_base_on_a_cut_rejected(self, r_base):
+        # code 000 puts r_s on r_base itself; code 1 adds 1/9 to 5/36
+        with pytest.raises(ValueError, match="puts r_s on the cut"):
+            FamilyConfig(r_base=r_base)
+
+    def test_r_base_check_reaches_exactly_20_digits(self):
+        # r_{1^20} = r_base + sum 3^-(i+1), i = 1..20, lands on 1/4;
+        # the same sum over 21 digits needs a code longer than any allowed
+        def ones(k):
+            return sum(Fraction(1, 3 ** (i + 1)) for i in range(1, k + 1))
+
+        with pytest.raises(ValueError, match="for code " + "1" * MAX_CODE_LEN):
+            FamilyConfig(r_base=Fraction(1, 4) - ones(MAX_CODE_LEN))
+        FamilyConfig(r_base=Fraction(1, 4) - ones(MAX_CODE_LEN + 1))
+        # 1/4 - r_base = 1/3 scales to 3^20, whose 0/1 digits would need a
+        # code digit before the first
+        FamilyConfig(r_base=Fraction(1, 4) - Fraction(1, 3))
+
+    @given(any_codes, st.sampled_from([Fraction(0), Fraction(1, 4)]), st.integers(-2, 2))
+    def test_r_base_hit_by_any_code_rejected(self, s, cut, turns):
+        offset = r_of(s) - DEFAULT_CONFIG.r_base
+        with pytest.raises(ValueError, match="puts r_s on the cut"):
+            FamilyConfig(r_base=cut + turns - offset)
+
+    @given(
+        st.one_of(
+            st.tuples(any_codes, any_codes),
+            st.tuples(any_codes, st.integers(0, 3)).map(lambda p: (p[0], p[0] + "0" * p[1])),
+        )
+    )
+    def test_alias_refused_exactly_for_one_point(self, pair):
+        s, t = pair
+        one_point = (alpha_of(s), r_of(s)) == (alpha_of(t), r_of(t))
+        for kind in ("x", "b"):
+            if one_point:
+                with pytest.raises(ValueError, match=f"codes {s} and {t} alias"):
+                    _refuse_alias(kind, s, t)
+            else:
+                _refuse_alias(kind, s, t)
+
+    @pytest.mark.parametrize("r_base", [QuadSurd(0, Fraction(1, 8), 3), 0.125])
+    def test_non_rational_r_base_rejected(self, r_base):
+        with pytest.raises(ValueError, match="r_base must be a Fraction"):
+            FamilyConfig(r_base=r_base)
 
     def test_configs_in_use_accepted(self):
         # the non-default configs that the suites build
