@@ -570,8 +570,13 @@ class SturmianReport:
     pairs: list[SturmianPairRecord]
 
     @property
+    def failing(self) -> list[SturmianPairRecord]:
+        """The pairs not certified distal, or whose scan exceeds the bound."""
+        return [r for r in self.pairs if r.verdict != VERDICT_DISTAL or not r.ok]
+
+    @property
     def passed(self) -> bool:
-        return all(r.verdict == VERDICT_DISTAL and r.ok for r in self.pairs)
+        return not self.failing
 
 
 def _window_max(series: np.ndarray, w: int) -> list[int]:
@@ -675,6 +680,8 @@ def sclosed_limit_check(
     force a nondecreasing lcp, so a "fail" on a plateau is not a
     counterexample to convergence.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, not {horizon}")
     code_list = [_code(c) for c in codes]
     names = [str(c) for c in code_list]
     if len(code_list) < 3:

@@ -252,16 +252,17 @@ def _json_line(obj) -> str:
 
 
 def _factor_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if lo_i < 1 or hi_i < lo_i:
-            raise SpecError(f"bad factor length range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    n = int(text)
-    if n < 1:
+    lo, sep, hi = text.partition("..")
+    try:
+        lo_i = int(lo)
+        hi_i = int(hi) if sep else lo_i
+    except ValueError:
+        raise SpecError(f"factor length must be an integer or lo..hi, not {text!r}") from None
+    if sep and (lo_i < 1 or hi_i < lo_i):
+        raise SpecError(f"bad factor length range {text!r}")
+    if lo_i < 1:
         raise SpecError("factor length must be positive")
-    return [n]
+    return list(range(lo_i, hi_i + 1))
 
 
 # -- commands ----------------------------------------------------------------
@@ -437,7 +438,6 @@ def cmd_sturmian_check(args: argparse.Namespace) -> int:
     report = sturmian_no_LY_check(
         parse_surd(args.angle), args.max_shift, args.horizon, args.resolution
     )
-    bad = [r for r in report.pairs if r.verdict != "distal-candidate" or not r.ok]
     if args.fmt == "csv":
         rows = ["i,j,K,max_lcp,verdict,ok"]
         rows.extend(
@@ -446,6 +446,7 @@ def cmd_sturmian_check(args: argparse.Namespace) -> int:
         )
         _emit(args, "\n".join(rows) + "\n")
     else:
+        bad = report.failing
         lines = [
             f"alpha: {report.alpha}",
             f"pairs: {len(report.pairs)} (shifts 0..{report.max_shift}, N={report.N}, m={report.m})",
@@ -544,6 +545,8 @@ _SHARED = {
         action="store_true", help="add a- and b-streams to the point set")),
     "out": ("--out", dict(help="write output to this file")),
     "config": ("--config", dict(help="key=value config file")),
+    "language": ("--language", dict(choices=("family", "full"),
+                                    help="the model's language: the family's or all words")),
 }
 # Config keys that take yes/no and stand for a bare flag.
 _SWITCHES = {flag[2:] for flag, kw in _SHARED.values() if kw.get("action") == "store_true"}
@@ -566,11 +569,12 @@ _READS = {
     "sturmian-check": {"horizon": QUICK_N, "resolution": QUICK_M, "quick": False,
                        "fmt": ("text", "csv")},
     "sclosed-check": {"horizon": QUICK_N, "codes": None, "codes_inline": None},
-    "dendrite iterate": {"horizon": 10_000, "codes": None, "codes_inline": None},
+    "dendrite iterate": {"horizon": 10_000, "codes": None, "codes_inline": None,
+                         "language": "family"},
     "dendrite graph": {"horizon": 10_000, "codes": None, "codes_inline": None,
-                       "fmt": ("dot",)},
+                       "fmt": ("dot",), "language": "family"},
     "dendrite check": {"horizon": 10_000, "codes": None, "codes_inline": None,
-                       "factor_len": "5"},
+                       "factor_len": "5", "language": "family"},
 }
 
 
@@ -631,14 +635,11 @@ def build_parser() -> argparse.ArgumentParser:
     dp = _command(dsub, "dendrite iterate", cmd_iterate, help="orbit of a point literal")
     dp.add_argument("point", help="root | branch:<w> | int:<w>:<t> | end:<spec>")
     dp.add_argument("--steps", type=int, default=10, help="cap for endpoint orbits")
-    dp.add_argument("--language", choices=["family", "full"], default="family")
     dp = _command(dsub, "dendrite graph", cmd_graph, help="emit DOT tree")
     dp.add_argument("--depth", type=int, default=6)
-    dp.add_argument("--language", choices=["family", "full"], default="family")
     dp = _command(dsub, "dendrite check", cmd_check,
                   help="no-isolated-points and f-invariance checks")
     dp.add_argument("--ext", type=int, default=10)
-    dp.add_argument("--language", choices=["family", "full"], default="family")
     return p
 
 

@@ -70,18 +70,17 @@ class DiamondStream(SymbolStream):
     def __init__(self, a: SymbolStream, b: SymbolStream, label: str | None = None):
         self.first = a
         self.second = b
-        self._next_block = 1
         super().__init__(label or f"diamond({a.label},{b.label})")
 
     def _extend_to(self, n: int) -> None:
-        # blocks up to the one holding position n, written in one pass
+        # the buffer ends on a block edge; blocks from there to n's, in one pass
+        first = position_decode(len(self._buf) + 1).block
         last = position_decode(n).block
         a = self.first.array(last)
         b = self.second.array(last)
         end = last * (last + 1)
-        _blocks(a, b, self._next_block, last, out=self._reserve(end))
+        _blocks(a, b, first, last, out=self._reserve(end))
         self._commit(end)
-        self._next_block = last + 1
 
     def _segment(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
         # symbols lo+1..hi: a slice of the buffer when it holds them,
@@ -179,6 +178,24 @@ class InclusionReport:
         return self.status == "pass"
 
 
+def _window(
+    a: SymbolStream, b: SymbolStream, n: int, horizon: int, tail_start: int | None,
+    min_count: int, source_horizon: int, subject: SymbolStream | None,
+) -> tuple[dict, set[str] | None]:
+    """An inclusion check's params and the recurrent n-words of ``subject``
+    (default DiamondStream(a, b)) beyond tail_start (default horizon // 100),
+    or None for the words when the tail or the source window is shorter than n."""
+    if tail_start is None:
+        tail_start = horizon // 100
+    params = dict(n=n, horizon=horizon, tail_start=tail_start, min_count=min_count,
+                  source_horizon=source_horizon)
+    if tail_start + n > horizon or source_horizon < n:
+        return params, None
+    if subject is None:
+        subject = DiamondStream(a, b)
+    return params, recurrent_factors(subject, n, horizon, tail_start, min_count)
+
+
 def omega_lower_check(
     a: SymbolStream,
     b: SymbolStream,
@@ -186,7 +203,7 @@ def omega_lower_check(
     horizon: int,
     tail_start: int | None = None,
     min_count: int = 5,
-    source_horizon: int | None = None,
+    source_horizon: int = 10_000,
     subject: SymbolStream | None = None,
 ) -> InclusionReport:
     """Check that every source factor recurs in the interleaved tail.
@@ -197,23 +214,10 @@ def omega_lower_check(
     caller that holds the interleaving already passes it, so its symbols
     and factor spectrum are reused.
     """
-    if tail_start is None:
-        tail_start = horizon // 100
-    if source_horizon is None:
-        source_horizon = tail_start
-    params = {
-        "n": n,
-        "horizon": horizon,
-        "tail_start": tail_start,
-        "min_count": min_count,
-        "source_horizon": source_horizon,
-    }
-    if tail_start + n > horizon or source_horizon < n:
+    params, seen = _window(a, b, n, horizon, tail_start, min_count, source_horizon, subject)
+    if seen is None:
         return InclusionReport(status="insufficient horizon", params=params)
-    if subject is None:
-        subject = DiamondStream(a, b)
     wanted = factors(a, n, source_horizon) | factors(b, n, source_horizon)
-    seen = recurrent_factors(subject, n, horizon, tail_start, min_count)
     missing = sorted(wanted - seen)
     return InclusionReport(
         status="pass" if not missing else "fail",
@@ -282,20 +286,9 @@ def omega_upper_check(
     lets a caller that holds the interleaving reuse its symbols and
     window spectrum, as ``cmd_diamond`` does with x_s.
     """
-    if tail_start is None:
-        tail_start = horizon // 100
-    params = {
-        "n": n,
-        "horizon": horizon,
-        "tail_start": tail_start,
-        "min_count": min_count,
-        "source_horizon": source_horizon,
-    }
-    if tail_start + n > horizon or source_horizon < n:
+    params, words = _window(a, b, n, horizon, tail_start, min_count, source_horizon, subject)
+    if words is None:
         return InclusionReport(status="insufficient horizon", params=params)
-    if subject is None:
-        subject = DiamondStream(a, b)
-    words = recurrent_factors(subject, n, horizon, tail_start, min_count)
     table = _closure_table(a, b, n, source_horizon)
     counts = dict.fromkeys(_CASES, 0)
     violations = []

@@ -15,6 +15,8 @@ from gehman.chaoscan import (
     VERDICT_DISTAL,
     VERDICT_LY,
     DistalityCertificate,
+    SturmianPairRecord,
+    SturmianReport,
     certified_b_distality,
     classify_pair,
     contained_in_short_periodic,
@@ -732,6 +734,20 @@ class TestSturmian:
         with pytest.raises(ValueError, match="max_shift must be >= 1"):
             sturmian_no_LY_check(SQRT2_4, max_shift, 2_000, 10)
 
+    def test_failing_records_decide_passed(self):
+        def record(verdict, ok):
+            return SturmianPairRecord(0, 1, 7, "1/8", 3, verdict, ok)
+
+        good = record(VERDICT_DISTAL, True)
+        over = record(VERDICT_DISTAL, False)
+        other = record(VERDICT_LY, True)
+        rep = SturmianReport("a", 1, 100, 10, [good, over, good, other])
+        assert rep.failing == [over, other]
+        assert not rep.passed
+        rep = SturmianReport("a", 1, 100, 10, [good, good])
+        assert rep.failing == []
+        assert rep.passed
+
     @pytest.mark.parametrize("N,m", [(0, 10), (2_000, 0)])
     def test_rejects_empty_scan_before_any_certificate(self, N, m, monkeypatch, capsys):
         calls = []
@@ -773,6 +789,14 @@ class TestSclosed:
         rep = sclosed_limit_check(codes, horizon=10_000)
         assert rep.status == "fail"
         assert rep.lcps == [3, 5, 11, 11]
+
+    # the non-convergent list used to report "not applicable" at horizon 0
+    @pytest.mark.parametrize("codes", [["1", "01", "001"], ["01", "1", "001", "0001"]])
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rejects_nonpositive_horizon_before_any_work(self, codes, horizon, monkeypatch):
+        monkeypatch.setattr(chaoscan, "alpha_of", None)
+        with pytest.raises(ValueError, match=f"^horizon must be >= 1, not {horizon}$"):
+            sclosed_limit_check(codes, horizon=horizon)
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):

@@ -451,6 +451,21 @@ class TestSclosedCmd:
         assert p.returncode == 3
         assert p.stdout.splitlines()[-1] == "summary: fail"
 
+    @pytest.mark.parametrize("args, horizon", [
+        (("--horizon", "0"), "0"),
+        (("--horizon=-3",), "-3"),
+        # a non-convergent list used to print "summary: not applicable"
+        (("--codes-inline", "0,1,01", "--horizon", "0"), "0"),
+    ])
+    def test_nonpositive_horizon_is_usage_error(self, args, horizon, capsys):
+        # the message used to name lcp's internal cap
+        from gehman.cli import main
+
+        assert main(["sclosed-check", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: horizon must be >= 1, not {horizon}\n"
+
     def test_non_convergent_not_applicable(self):
         p = run_cli(
             "sclosed-check", "--codes-inline", "01,1,001,0001",
@@ -630,6 +645,40 @@ class TestPlumbing:
         assert main(base + self._config(tmp_path, "angle=-1/8+1/4*sqrt(2)\n")) == 0
         assert capsys.readouterr().out == flag
 
+    @pytest.mark.parametrize("args, message", [
+        (("omega", "000", "111", "--factor-len", "x"), "an integer or lo..hi, not 'x'"),
+        (("omega", "000", "111", "--factor-len", "1.."), "an integer or lo..hi, not '1..'"),
+        (("omega", "000", "111", "--factor-len", "..5"), "an integer or lo..hi, not '..5'"),
+        (("diamond", "000", "--factor-len", "x"), "an integer or lo..hi, not 'x'"),
+        (("dendrite", "check", "--factor-len", "2x"), "an integer or lo..hi, not '2x'"),
+        (("omega", "000", "111", "--factor-len", "0..3"), "bad factor length range '0..3'"),
+        (("omega", "000", "111", "--factor-len", "6..5"), "bad factor length range '6..5'"),
+        (("diamond", "000", "--factor-len", "0"), "factor length must be positive"),
+        (("dendrite", "check", "--factor-len", "-2"), "factor length must be positive"),
+    ])
+    def test_bad_factor_len_is_usage_error(self, args, message, capsys):
+        # the unparsable ones used to print int()'s own parse error
+        from gehman.cli import main
+
+        assert main(list(args)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if message.startswith("an integer"):
+            message = "factor length must be " + message
+        assert captured.err == f"error: {message}\n"
+
+    def test_config_language(self, tmp_path, capsys):
+        from gehman.cli import main
+
+        # at depth 5 the family language lacks 10 of the 32 words
+        base = ["dendrite", "graph", "--depth", "5"]
+        assert main(base + ["--language", "full"]) == 0
+        flag = capsys.readouterr().out
+        assert main(base + self._config(tmp_path, "language=full\n")) == 0
+        assert capsys.readouterr().out == flag
+        assert main(base) == 0
+        assert capsys.readouterr().out != flag
+
     def test_config_bad_choice(self, tmp_path, capsys):
         from gehman.cli import main
 
@@ -711,6 +760,7 @@ _VALUES = {
     "--format": ["--format", "text"],
     "--quick": ["--quick"],
     "--include-limits": ["--include-limits"],
+    "--language": ["--language", "full"],
 }
 # The shared options a command does not read; each used to be accepted
 # and ignored.
@@ -730,6 +780,9 @@ _UNREAD = [
     ("sclosed-check", "--resolution"), ("sclosed-check", "--factor-len"),
     ("sclosed-check", "--format"), ("sclosed-check", "--quick"),
     ("sclosed-check", "--include-limits"),
+    ("diamond", "--language"), ("pair", "--language"), ("scan", "--language"),
+    ("omega", "--language"), ("sturmian-check", "--language"),
+    ("sclosed-check", "--language"),
     ("dendrite iterate", "--resolution"), ("dendrite iterate", "--factor-len"),
     ("dendrite iterate", "--format"), ("dendrite iterate", "--quick"),
     ("dendrite iterate", "--include-limits"),

@@ -53,11 +53,17 @@ class TestLayout:
         st.text("01", min_size=1, max_size=6),
         st.text("01", min_size=1, max_size=6),
         st.integers(1, 8),
+        st.lists(st.integers(0, 72), max_size=6),
     )
-    def test_layout_matches_brute(self, wa, wb, blocks):
+    def test_layout_matches_brute(self, wa, wb, blocks, requests):
+        # the stream first grows by the drawn requests, which end inside
+        # blocks, on block edges, or short of the buffer
         a, b = PeriodicStream(wa), PeriodicStream(wb)
         n = blocks * (blocks + 1)
-        assert DiamondStream(a, b).word(n) == brute_layout(a.word(blocks), b.word(blocks), blocks)
+        x = DiamondStream(a, b)
+        for r in requests:
+            x.word(r)
+        assert x.word(n) == brute_layout(a.word(blocks), b.word(blocks), blocks)
 
 
 class TestDecode:
@@ -133,6 +139,29 @@ class TestOmegaChecks:
         )
         assert rep.status == "fail"
         assert rep.violations == ["0000", "0101", "1010"]
+
+    @pytest.mark.parametrize("horizon", [2000, 50_000, 1_000_000])
+    def test_checks_share_one_window(self, horizon):
+        a, b = a_stream("000"), b_stream("000")
+        lower = omega_lower_check(a, b, 5, horizon)
+        upper = omega_upper_check(a, b, 5, horizon)
+        assert lower.params == upper.params == {
+            "n": 5, "horizon": horizon, "tail_start": horizon // 100,
+            "min_count": 5, "source_horizon": 10_000,
+        }
+
+    @pytest.mark.parametrize(
+        "n, horizon, tail_start, source_horizon",
+        [(30, 100, 95, 10_000), (30, 2000, None, 10), (5, 4, None, 10_000)],
+    )
+    def test_checks_are_short_together(self, n, horizon, tail_start, source_horizon):
+        a, b = PeriodicStream("0"), PeriodicStream("1")
+        reports = [
+            check(a, b, n, horizon, tail_start=tail_start, source_horizon=source_horizon)
+            for check in (omega_lower_check, omega_upper_check)
+        ]
+        assert [r.status for r in reports] == ["insufficient horizon"] * 2
+        assert reports[0].params == reports[1].params
 
     def test_upper_constant_sources(self):
         rep = omega_upper_check(PeriodicStream("0"), PeriodicStream("1"), 4, 2000)
