@@ -101,13 +101,16 @@ class DendriteModel:
         self._cache: dict[str, bool] = {"": True}
 
     def accepts(self, w: str) -> bool:
-        if w == "":
-            return True
-        _check_word(w)
         val = self._cache.get(w)
         if val is None:
-            val = self.accepts(w[:-1]) and bool(self._oracle(w))
-            self._cache[w] = val
+            _check_word(w)
+            k = len(w) - 1
+            while w[:k] not in self._cache:  # "" is always cached
+                k -= 1
+            val = self._cache[w[:k]]
+            for k in range(k + 1, len(w) + 1):
+                val = val and bool(self._oracle(w[:k]))
+                self._cache[w[:k]] = val
         return val
 
     def __repr__(self) -> str:
@@ -134,6 +137,8 @@ def family_model(
     config: FamilyConfig = DEFAULT_CONFIG,
 ) -> DendriteModel:
     """Model over the family subshift, inner-approximated by factor scan."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, not {horizon}")
     code_list = tuple(codes) if codes is not None else DEFAULT_CODES
 
     @functools.cache
@@ -233,14 +238,19 @@ def path_dist(u: DendritePoint, v: DendritePoint, cap: int = 64) -> DistBound:
 # -- structural checks -------------------------------------------------------
 
 
+def _levels(model: DendriteModel, depth: int) -> list[list[str]]:
+    """Accepted words of each length 0..depth, each level lexicographic."""
+    levels = [[""]]
+    for _ in range(depth):
+        levels.append([w + c for w in levels[-1] for c in "01" if model.accepts(w + c)])
+    return levels
+
+
 def accepted_words(model: DendriteModel, n: int) -> list[str]:
     """All accepted words of length exactly n, lexicographic."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    words = [""]
-    for _ in range(n):
-        words = [w + c for w in words for c in "01" if model.accepts(w + c)]
-    return words
+    return _levels(model, n)[-1]
 
 
 @dataclass
@@ -287,25 +297,15 @@ def no_isolated_points_check(
 
 def f_invariance_check(model: DendriteModel, depth: int) -> list[str]:
     """Addresses up to depth whose one-symbol tail is rejected (expect none)."""
-    bad = []
-    for k in range(1, depth + 1):
-        for w in accepted_words(model, k):
-            tail = w[1:]
-            if tail and not model.accepts(tail):
-                bad.append(w)
-    return bad
+    levels = _levels(model, depth)[2:]  # a one-symbol address maps to the root
+    return [w for level in levels for w in level if not model.accepts(w[1:])]
 
 
 def emit_graph(model: DendriteModel, depth: int) -> str:
     """DOT digraph of the branch structure down to the given depth."""
     if not 1 <= depth <= 24:
         raise ValueError("depth must be in 1..24")
-    nodes: list[str] = []
-    frontier = [""]
-    for _ in range(depth):
-        frontier = [w + c for w in frontier for c in "01" if model.accepts(w + c)]
-        nodes.extend(frontier)
-    nodes.sort()
+    nodes = sorted(w for level in _levels(model, depth)[1:] for w in level)
     lines = ["digraph dendrite {", "  root;"]
     lines.extend(f'  "{w}";' for w in nodes)
     for w in nodes:

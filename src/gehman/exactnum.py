@@ -24,6 +24,7 @@ embed with ``b == 0`` and compare against either field.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -339,124 +340,52 @@ def circle_distance(x, y) -> QuadSurd:
 # -- textual surd literals ----------------------------------------------
 
 
-class _SurdParser:
-    """Scanner for literals like "0/1 + 1/4*sqrt(2)" or "sqrt(2)/4 - 1/8".
-
-    Integer components only; decimal points are rejected so irrational
-    inputs cannot be silently approximated.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> ValueError:
-        return ValueError(
-            f"surd syntax error at position {self.pos}: {message} (in {self.text!r})"
-        )
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        if self.peek() == ".":
-            raise self.error("decimal literals are not accepted; use fractions")
-        return int(self.text[start:self.pos])
-
-    def read_rational(self) -> Fraction:
-        num = self.read_int()
-        self.skip_ws()
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.read_int()
-            if den == 0:
-                raise self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def read_root(self) -> int:
-        # caller has matched the literal "sqrt"
-        self.pos += 4
-        self.skip_ws()
-        if self.peek() != "(":
-            raise self.error("expected '(' after sqrt")
-        self.pos += 1
-        d = self.read_int()
-        if d < 1:
-            raise self.error("sqrt argument must be a positive integer")
-        self.skip_ws()
-        if self.peek() != ")":
-            raise self.error("expected ')'")
-        self.pos += 1
-        return d
-
-    def at_sqrt(self) -> bool:
-        self.skip_ws()
-        return self.text.startswith("sqrt", self.pos)
-
-    def read_term(self) -> QuadSurd:
-        if self.at_sqrt():
-            d = self.read_root()
-            coef = Fraction(1)
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                coef = self.read_rational()
-            elif self.peek() == "/":
-                self.pos += 1
-                den = self.read_int()
-                if den == 0:
-                    raise self.error("zero denominator")
-                coef = Fraction(1, den)
-            return QuadSurd(0, coef, d)
-        coef = self.read_rational()
-        self.skip_ws()
-        if self.peek() == "*":
-            self.pos += 1
-            if not self.at_sqrt():
-                raise self.error("expected sqrt(...) after '*'")
-            d = self.read_root()
-            return QuadSurd(0, coef, d)
-        return QuadSurd(coef)
-
-    def parse(self) -> QuadSurd:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise self.error("empty surd literal")
-        value = QuadSurd(0)
-        negate = False
-        if self.peek() in "+-":
-            negate = self.peek() == "-"
-            self.pos += 1
-        while True:
-            term = self.read_term()
-            try:
-                value = value + (-term if negate else term)
-            except MixedFieldError:
-                raise self.error("terms mix two different square roots") from None
-            if self.at_end():
-                return value
-            op = self.peek()
-            if op not in "+-":
-                raise self.error(f"expected '+' or '-', found {op!r}")
-            negate = op == "-"
-            self.pos += 1
+# One signed term of a surd literal, each space standing for optional
+# whitespace: [+|-] INT [/ INT] [* sqrt(INT)]  or  [+|-] sqrt(INT) [* INT] [/ INT].
+# A match takes the whitespace after its term, so the next starts at a sign.
+_SURD_TERM = (
+    r"(?P<sign>[-+]?) (?:(?P<num>\d+) (?:/ (?P<den>\d+) )?(?:\* sqrt \( (?P<root>\d+) \) )?"
+    r"|sqrt \( (?P<root2>\d+) \) (?:\* (?P<num2>\d+) )?(?:/ (?P<den2>\d+) )?)"
+).replace(" ", r"\s*")
 
 
 def parse_surd(text: str) -> QuadSurd:
-    """Parse an exact surd literal such as "0/1 + 1/4*sqrt(2)"."""
-    return _SurdParser(text).parse()
+    """Parse an exact surd literal such as "0/1 + 1/4*sqrt(2)".
+
+    A literal is a sum of ``_SURD_TERM`` terms, each after the first with
+    its own sign, whose roots lie in one field.  Integer components only;
+    decimal points are rejected so irrational inputs cannot be silently
+    approximated.
+    """
+
+    def error(at: int, message: str) -> ValueError:
+        return ValueError(
+            f"surd syntax error at position {at}: {message} (in {text!r})"
+        )
+
+    decimal = re.search(r"\d\.", text)
+    if decimal:
+        raise error(decimal.end() - 1, "decimal literals are not accepted; use fractions")
+    pos = start = len(text) - len(text.lstrip())
+    if start == len(text):
+        raise error(start, "empty surd literal")
+    term = re.compile(_SURD_TERM)
+    value = QuadSurd(0)
+    while pos < len(text):
+        if pos > start and text[pos] not in "+-":
+            raise error(pos, f"expected '+' or '-', found {text[pos]!r}")
+        m = term.match(text, pos)
+        if m is None:
+            raise error(pos, "expected INT[/INT][*sqrt(INT)] or sqrt(INT)[*INT][/INT]")
+        num, den, root = (int(m[g] or m[g + "2"] or 1) for g in ("num", "den", "root"))
+        if den == 0:
+            raise error(pos, "zero denominator")
+        if root == 0:
+            raise error(pos, "sqrt argument must be a positive integer")
+        coef = Fraction(-num if m["sign"] == "-" else num, den)
+        try:
+            value += QuadSurd(0, coef, root)
+        except MixedFieldError:
+            raise error(pos, "terms mix two different square roots") from None
+        pos = m.end()
+    return value

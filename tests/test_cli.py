@@ -48,6 +48,18 @@ class TestGen:
         assert p.returncode == 2
         assert p.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("A:1.5", "surd syntax error at position 1: decimal literals are not "
+                  "accepted; use fractions (in '1.5')"),
+        ("pt:1/8@sqrt(2)+sqrt(3)", "surd syntax error at position 7: terms mix "
+                                   "two different square roots (in 'sqrt(2)+sqrt(3)')"),
+    ])
+    def test_bad_surd_is_usage_error(self, spec, message):
+        p = run_cli("gen", spec, "5")
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == f"error: {message}\n"
+
     def test_negative_count_is_usage_error(self):
         assert run_cli("gen", "x:000", "--", "-3").returncode == 2
 
@@ -509,6 +521,45 @@ class TestDendriteCmd:
         p = run_cli("dendrite", "iterate", "branch:1010101010")
         assert p.returncode == 2
         assert "rejected" in p.stderr
+
+    def test_long_rejected_address_is_usage_error(self, capsys):
+        # accepts recursed once per symbol: both exited 1 with RecursionError
+        from gehman.cli import main
+
+        zeros = "0" * 3000
+        assert main(["dendrite", "iterate", f"branch:{zeros}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: address rejected by the model: {zeros!r}\n"
+        assert main(["dendrite", "iterate", f"branch:{zeros}", "--language", "full"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3000
+        assert lines[0] == f"1: branch:{zeros[1:]}"
+        assert lines[-1] == "3000: root"
+
+    @pytest.mark.parametrize("args", [
+        ("graph", "--depth", "2", "--horizon", "0"),
+        ("iterate", "root", "--horizon", "0"),
+        ("iterate", "branch:1", "--horizon=-3"),
+        ("check", "--horizon", "0"),
+    ])
+    def test_nonpositive_horizon_is_usage_error(self, args, capsys):
+        # graph blamed "the factor length" and iterate root exited 0
+        from gehman.cli import main
+
+        assert main(["dendrite", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        horizon = args[-1].rpartition("=")[2]
+        assert captured.err == f"error: horizon must be >= 1, not {horizon}\n"
+
+    def test_full_language_ignores_the_horizon(self, capsys):
+        from gehman.cli import main
+
+        assert main(["dendrite", "graph", "--language", "full", "--depth", "1",
+                     "--horizon", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            '  root -> "0" [len="2^-1"];', '  root -> "1" [len="2^-1"];', "}"]
 
     def test_graph_full_depth3(self):
         p = run_cli("dendrite", "graph", "--language", "full", "--depth", "3")

@@ -182,6 +182,25 @@ class TestModels:
         assert m.accepts("1")
         assert not m.accepts("1010101010")
 
+    def test_long_address_is_decided_without_recursion(self):
+        # accepts used to recurse once per symbol and hit the recursion limit
+        m = full_binary_model()
+        assert m.accepts("01" * 5000)
+        assert not word_set_model(["0" * 4000]).accepts("0" * 3000 + "1")
+
+    def test_prefix_oracle_calls_are_memoized(self):
+        seen = []
+        m = DendriteModel(lambda w: seen.append(w) or not w.endswith("11"))
+        assert not m.accepts("0110")
+        assert seen == ["0", "01", "011"]
+        assert m.accepts("010") and not m.accepts("011")
+        assert seen == ["0", "01", "011", "010"]
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_family_model_rejects_nonpositive_horizon(self, horizon):
+        with pytest.raises(ValueError, match=f"^horizon must be >= 1, not {horizon}$"):
+            family_model(horizon=horizon)
+
     def test_accepted_words_full_binary(self):
         out = accepted_words(FULL, 3)
         assert len(out) == 8
@@ -214,6 +233,12 @@ class TestStructuralChecks:
     def test_f_invariance_negative_control(self):
         # closure of "01" accepts "0" and "01" but not the tail "1"
         assert f_invariance_check(word_set_model(["01"]), 2) == ["01"]
+
+    def test_f_invariance_orders_by_length_then_word(self):
+        m = word_set_model(["001", "1011"])
+        assert f_invariance_check(m, 4) == ["001", "101", "1011"]
+        assert f_invariance_check(m, 3) == ["001", "101"]
+        assert f_invariance_check(m, 1) == []
 
 
 class TestGraph:

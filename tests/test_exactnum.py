@@ -33,6 +33,40 @@ def surds(d: int):
     return st.builds(lambda a, b: QuadSurd(a, b, d), rationals, rationals)
 
 
+@st.composite
+def surd_literals(draw):
+    """A surd literal built from its parts, with the QuadSurd of those parts."""
+    space = st.sampled_from(["", " ", "  ", "\t", "\n "])
+    d = draw(st.sampled_from([2, 3, 5]))
+    text, value = draw(space), QuadSurd(0)
+    for first in [True] + [False] * draw(st.integers(0, 3)):
+        sign = draw(st.sampled_from(["", "+", "-"] if first else ["+", "-"]))
+        num = draw(st.integers(0, 10**12))
+        den = draw(st.integers(1, 10**12))
+        rational = f"{num}{draw(space)}/{draw(space)}{den}" if den > 1 else f"{num}"
+        root = draw(st.sampled_from([1, 4, d, 4 * d, 9 * d]))
+        sqrt = f"sqrt{draw(space)}({draw(space)}{root}{draw(space)})"
+        star = f"{draw(space)}*{draw(space)}"
+        form = draw(st.sampled_from(["q", "q*r", "r", "r*q", "r/n"]))
+        if form == "q":
+            root = 1
+        if form == "r":
+            num = den = 1
+        if form == "r/n":
+            num = 1
+        term = {
+            "q": rational,
+            "q*r": rational + star + sqrt,
+            "r": sqrt,
+            "r*q": sqrt + star + rational,
+            "r/n": f"{sqrt}{draw(space)}/{draw(space)}{den}",
+        }[form]
+        text += f"{sign}{draw(space)}{term}{draw(space)}"
+        part = QuadSurd(0, Fraction(num, den), root)
+        value += -part if sign == "-" else part
+    return text, value
+
+
 class TestConstruction:
     def test_perfect_square_collapses_to_rational(self):
         q = QuadSurd(0, 1, 4)
@@ -255,17 +289,39 @@ class TestParse:
             ("2", QuadSurd(2)),
             ("1 - 1/2*sqrt(2)", QuadSurd(1, Fraction(-1, 2), 2)),
             ("sqrt(12)", QuadSurd(0, 2, 3)),
+            (" + sqrt ( 8 ) / 4 ", QuadSurd(0, Fraction(1, 2), 2)),
+            ("sqrt(2) * 3/4 - sqrt(2)", QuadSurd(0, Fraction(-1, 4), 2)),
+            ("sqrt(2) - sqrt(2) + sqrt(3)", QuadSurd(0, 1, 3)),
+            ("\u0663/4", QuadSurd(Fraction(3, 4))),
         ],
     )
     def test_parse_values(self, text, value):
         assert parse_surd(text) == value
 
     @pytest.mark.parametrize(
-        "text", ["", "sqrt()", "1+", "sqrt(-1)", "q:1", "1*2*3", "1//2"]
+        "text",
+        [
+            "", "   ", "sqrt()", "1+", "sqrt(-1)", "q:1", "1*2*3", "1//2",
+            "1/0", "sqrt(2)/0", "sqrt(2)*3/0", "sqrt(0)", "2sqrt(2)",
+            "sqrt(2)*sqrt(3)", "1+-1", "--1", "1*2", "+", "sqrt(2)+sqrt(3)",
+            "1 2", "sq rt(2)", "SQRT(2)", "sqrt(2)/4*3", "1²",
+        ],
     )
     def test_parse_rejects(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^surd syntax error at position \d+: "):
             parse_surd(text)
+
+    @pytest.mark.parametrize("text", ["1.5", "sqrt(2.0)", "1/8 + 0.25*sqrt(2)"])
+    def test_parse_rejects_decimals_with_a_hint(self, text):
+        hint = "decimal literals are not accepted; use fractions"
+        with pytest.raises(ValueError, match=rf"^surd syntax error at position \d+: {hint} "):
+            parse_surd(text)
+
+    @settings(max_examples=300)
+    @given(surd_literals())
+    def test_parse_reads_literals_built_from_parts(self, case):
+        text, value = case
+        assert parse_surd(text) == value
 
     @given(surds(2))
     def test_repr_round_trips(self, q):
