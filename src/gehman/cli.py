@@ -155,7 +155,11 @@ def parse_point_literal(text: str):
         w, sep2, t = rest.partition(":")
         if not sep2:
             raise SpecError("int literal needs <address>:<parameter>")
-        return interior(w, Fraction(t))
+        try:
+            t = Fraction(t)
+        except (ValueError, ZeroDivisionError):
+            raise SpecError(f"bad parameter {t!r} in point literal {text!r}") from None
+        return interior(w, t)
     if head == "end":
         return End(parse_stream_spec(rest))
     raise SpecError(f"unknown point kind {head!r}")

@@ -14,7 +14,7 @@ and negative controls plug in beside the family subshift.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
@@ -98,20 +98,10 @@ class DendriteModel:
     def __init__(self, oracle: Callable[[str], bool], name: str = "custom"):
         self._oracle = oracle
         self.name = name
-        self._cache: dict[str, bool] = {"": True}
 
     def accepts(self, w: str) -> bool:
-        val = self._cache.get(w)
-        if val is None:
-            _check_word(w)
-            k = len(w) - 1
-            while w[:k] not in self._cache:  # "" is always cached
-                k -= 1
-            val = self._cache[w[:k]]
-            for k in range(k + 1, len(w) + 1):
-                val = val and bool(self._oracle(w[:k]))
-                self._cache[w[:k]] = val
-        return val
+        _check_word(w)
+        return all(self._oracle(w[:k]) for k in range(1, len(w) + 1))
 
     def __repr__(self) -> str:
         return f"<DendriteModel {self.name}>"
@@ -146,14 +136,13 @@ def family_model(
         return language_of_X(code_list, n, horizon, config)
 
     def oracle(w: str) -> bool:
+        if len(w) > 64:  # factor sets pack each word into 64 bits
+            raise ValueError(
+                f"the family model decides words of at most 64 symbols, not {len(w)}"
+            )
         return w in language(len(w))
 
     return DendriteModel(oracle, name=f"family[{len(code_list)} codes]")
-
-
-def _require_arc(model: DendriteModel, w: str) -> None:
-    if not model.accepts(w):
-        raise ValueError(f"arc {w!r} is not in the model")
 
 
 def apply_f(model: DendriteModel, pt: DendritePoint) -> DendritePoint:
@@ -165,14 +154,10 @@ def apply_f(model: DendriteModel, pt: DendritePoint) -> DendritePoint:
     """
     if isinstance(pt, Root):
         return ROOT
-    if isinstance(pt, Branch):
-        _require_arc(model, pt.w)
-        tail = pt.w[1:]
-        return Branch(tail) if tail else ROOT
-    if isinstance(pt, Interior):
-        _require_arc(model, pt.w)
-        tail = pt.w[1:]
-        return Interior(tail, pt.t) if tail else ROOT
+    if isinstance(pt, (Branch, Interior)):
+        if not model.accepts(pt.w):
+            raise ValueError(f"arc {pt.w!r} is not in the model")
+        return replace(pt, w=pt.w[1:]) if len(pt.w) > 1 else ROOT
     if isinstance(pt, End):
         return End(shift(pt.stream, 1))
     raise TypeError(f"not a dendrite point: {pt!r}")
@@ -240,9 +225,10 @@ def path_dist(u: DendritePoint, v: DendritePoint, cap: int = 64) -> DistBound:
 
 def _levels(model: DendriteModel, depth: int) -> list[list[str]]:
     """Accepted words of each length 0..depth, each level lexicographic."""
+    # a child of an accepted word is accepted iff the oracle accepts it
     levels = [[""]]
     for _ in range(depth):
-        levels.append([w + c for w in levels[-1] for c in "01" if model.accepts(w + c)])
+        levels.append([w + c for w in levels[-1] for c in "01" if model._oracle(w + c)])
     return levels
 
 
@@ -288,7 +274,7 @@ def no_isolated_points_check(
                 continue
             for c in "10":
                 nw = word + c
-                if model.accepts(nw):
+                if model._oracle(nw):
                     stack.append((nw, remaining - 1))
         if found < 2:
             violators.append(w)

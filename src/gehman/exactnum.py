@@ -377,11 +377,16 @@ def parse_surd(text: str) -> QuadSurd:
         m = term.match(text, pos)
         if m is None:
             raise error(pos, "expected INT[/INT][*sqrt(INT)] or sqrt(INT)[*INT][/INT]")
-        num, den, root = (int(m[g] or m[g + "2"] or 1) for g in ("num", "den", "root"))
+        try:
+            num, den, root = (int(m[g] or m[g + "2"] or 1) for g in ("num", "den", "root"))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise error(pos, "integer has too many digits") from None
         if den == 0:
             raise error(pos, "zero denominator")
         if root == 0:
             raise error(pos, "sqrt argument must be a positive integer")
+        if root >= 10**9:  # _square_split divides by every p up to sqrt(root)
+            raise error(pos, "sqrt argument must be below 10^9")
         coef = Fraction(-num if m["sign"] == "-" else num, den)
         try:
             value += QuadSurd(0, coef, root)

@@ -53,6 +53,9 @@ class TestGen:
                   "accepted; use fractions (in '1.5')"),
         ("pt:1/8@sqrt(2)+sqrt(3)", "surd syntax error at position 7: terms mix "
                                    "two different square roots (in 'sqrt(2)+sqrt(3)')"),
+        # exited 0 after 1.7 s of trial division; a 31-digit prime never ends
+        ("A:sqrt(999999999989)/7", "surd syntax error at position 0: sqrt argument "
+                                   "must be below 10^9 (in 'sqrt(999999999989)/7')"),
     ])
     def test_bad_surd_is_usage_error(self, spec, message):
         p = run_cli("gen", spec, "5")
@@ -536,6 +539,43 @@ class TestDendriteCmd:
         assert len(lines) == 3000
         assert lines[0] == f"1: branch:{zeros[1:]}"
         assert lines[-1] == "3000: root"
+
+    def test_long_random_address_under_the_full_language(self, capsys):
+        # a prefix memo kept every substring: 665 MiB at 1,500 bits
+        import random
+
+        from gehman.cli import main
+
+        rng = random.Random(2501)
+        w = "".join(rng.choice("01") for _ in range(3000))
+        assert main(["dendrite", "iterate", f"branch:{w}", "--language", "full"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3000
+        assert lines[0] == f"1: branch:{w[1:]}"
+        assert lines[-1] == "3000: root"
+
+    def test_zero_denominator_parameter_is_usage_error(self):
+        # exited 1 with a ZeroDivisionError traceback
+        p = run_cli("dendrite", "iterate", "int:101:1/0", "--language", "full")
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == "error: bad parameter '1/0' in point literal 'int:101:1/0'\n"
+
+    @pytest.mark.parametrize("args", [
+        ["iterate", "branch:" + "1011011110111111011111110011111111000111101111"
+                                "001011110111110011011110"],
+        ["check", "--factor-len", "60", "--ext", "10"],
+    ])
+    def test_family_length_limit_is_named(self, args, capsys):
+        # both blamed bit-packing: "factor length must be in 1..64 (bit-packed)"
+        from gehman.cli import main
+
+        assert main(["dendrite", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the family model decides words of at most 64 symbols, not 65\n"
+        )
 
     @pytest.mark.parametrize("args", [
         ("graph", "--depth", "2", "--horizon", "0"),

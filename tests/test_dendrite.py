@@ -1,5 +1,7 @@
 """Dendrite model: points, induced map, path metric, structural checks."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -79,6 +81,20 @@ class TestApplyF:
         image = apply_f(FULL, End(x))
         assert isinstance(image, End)
         assert image.stream.word(1000) == shift(x, 1).word(1000)
+
+    def test_long_orbit_keeps_no_per_word_state(self):
+        # a prefix memo kept every substring of the address: 103.6 MiB here
+        rng = random.Random(2501)
+        pt = Branch("".join(rng.choice("01") for _ in range(800)))
+        model = full_binary_model()
+        tracemalloc.start()
+        try:
+            while pt is not ROOT:
+                pt = apply_f(model, pt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_foreign_arcs(self):
         model = word_set_model(["00"])
@@ -188,13 +204,24 @@ class TestModels:
         assert m.accepts("01" * 5000)
         assert not word_set_model(["0" * 4000]).accepts("0" * 3000 + "1")
 
-    def test_prefix_oracle_calls_are_memoized(self):
+    def test_prefix_walk_stops_at_the_first_rejection(self):
         seen = []
         m = DendriteModel(lambda w: seen.append(w) or not w.endswith("11"))
         assert not m.accepts("0110")
         assert seen == ["0", "01", "011"]
-        assert m.accepts("010") and not m.accepts("011")
-        assert seen == ["0", "01", "011", "010"]
+        # no memo: a second call walks the prefixes again
+        assert not m.accepts("0110")
+        assert seen == ["0", "01", "011"] * 2
+
+    def test_tree_walks_make_one_oracle_call_per_child(self):
+        seen = []
+        m = DendriteModel(lambda w: seen.append(w) or True)
+        assert len(accepted_words(m, 3)) == 8
+        assert len(seen) == 2 + 4 + 8
+        seen.clear()
+        # levels 1..2, then per base word two children at each of two depths
+        assert no_isolated_points_check(m, 2, 2).passed
+        assert len(seen) == 2 + 4 + 4 * 4
 
     @pytest.mark.parametrize("horizon", [0, -3])
     def test_family_model_rejects_nonpositive_horizon(self, horizon):

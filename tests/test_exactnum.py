@@ -293,6 +293,7 @@ class TestParse:
             ("sqrt(2) * 3/4 - sqrt(2)", QuadSurd(0, Fraction(-1, 4), 2)),
             ("sqrt(2) - sqrt(2) + sqrt(3)", QuadSurd(0, 1, 3)),
             ("\u0663/4", QuadSurd(Fraction(3, 4))),
+            ("sqrt(999999999)", QuadSurd(0, 3, 111111111)),
         ],
     )
     def test_parse_values(self, text, value):
@@ -316,6 +317,21 @@ class TestParse:
         hint = "decimal literals are not accepted; use fractions"
         with pytest.raises(ValueError, match=rf"^surd syntax error at position \d+: {hint} "):
             parse_surd(text)
+
+    @pytest.mark.parametrize("text, at, message", [
+        # trial division up to sqrt(d) took 0.28 s on this root and never
+        # ends on a 31-digit prime
+        ("sqrt(999999999989)", 0, "sqrt argument must be below 10^9"),
+        ("1 + 2*sqrt(1000000000)", 2, "sqrt argument must be below 10^9"),
+        # int() raised its own error, naming sys.set_int_max_str_digits
+        ("1/8 - 1/" + "1" * 5000, 4, "integer has too many digits"),
+    ], ids=["prime-root", "root-at-bound", "5000-digit-denominator"])
+    def test_parse_rejects_oversized_integers(self, text, at, message):
+        with pytest.raises(ValueError) as exc:
+            parse_surd(text)
+        assert str(exc.value) == (
+            f"surd syntax error at position {at}: {message} (in {text!r})"
+        )
 
     @settings(max_examples=300)
     @given(surd_literals())
