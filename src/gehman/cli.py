@@ -555,101 +555,100 @@ _SHARED = {
 # Config keys that take yes/no and stand for a bare flag.
 _SWITCHES = {flag[2:] for flag, kw in _SHARED.values() if kw.get("action") == "store_true"}
 
-# The shared options each command reads, besides --out and --config, with
-# their defaults; a --format entry lists its choices, default first.
-# argparse rejects the others.  A horizon or resolution of None is set by
-# --quick (_scan_params).  sturmian-check keeps --quick, which changes
-# nothing there: its defaults already are the quick values.
-_READS = {
-    "gen": {},
-    "diamond": {"horizon": None, "quick": False, "factor_len": "20"},
-    "pair": {"horizon": None, "resolution": None, "quick": False,
-             "fmt": ("jsonl", "csv", "text")},
-    "scan": {"horizon": None, "resolution": None, "quick": False,
-             "fmt": ("jsonl", "text"), "codes": None, "codes_inline": None,
-             "include_limits": False},
-    "omega": {"horizon": None, "quick": False, "factor_len": "5..20",
-              "fmt": ("csv", "text")},
-    "sturmian-check": {"horizon": QUICK_N, "resolution": QUICK_M, "quick": False,
-                       "fmt": ("text", "csv")},
-    "sclosed-check": {"horizon": QUICK_N, "codes": None, "codes_inline": None},
-    "dendrite iterate": {"horizon": 10_000, "codes": None, "codes_inline": None,
-                         "language": "family"},
-    "dendrite graph": {"horizon": 10_000, "codes": None, "codes_inline": None,
-                       "fmt": ("dot",), "language": "family"},
-    "dendrite check": {"horizon": 10_000, "codes": None, "codes_inline": None,
-                       "factor_len": "5", "language": "family"},
+# Each command: its function, its help line, the shared options it reads
+# besides --out and --config with their defaults, and its own arguments (a
+# name or flag, and argparse keywords).  A --format entry lists its
+# choices, default first.  argparse rejects the shared options a command
+# does not read.  A horizon or resolution of None is set by --quick
+# (_scan_params).  sturmian-check keeps --quick, which changes nothing
+# there: its defaults already are the quick values.
+_COMMANDS = {
+    "gen": (cmd_gen, "print stream symbols", {}, (
+        ("spec", dict(help="stream spec, e.g. x:000 or A:1/4*sqrt(2)")),
+        ("count", dict(type=int, help="number of symbols")))),
+    "diamond": (cmd_diamond, "omega-limit inclusion checks for one code",
+                {"horizon": None, "quick": False, "factor_len": "20"}, (
+        ("code", dict(help="family code, e.g. 000")),
+        ("--source-horizon", dict(type=int, default=10_000)))),
+    "pair": (cmd_pair, "classify one pair",
+             {"horizon": None, "resolution": None, "quick": False,
+              "fmt": ("jsonl", "csv", "text")}, (
+        ("x", dict(help="stream spec")), ("y", dict(help="stream spec")))),
+    "scan": (cmd_scan, "scrambled-set scan over family points",
+             {"horizon": None, "resolution": None, "quick": False,
+              "fmt": ("jsonl", "text"), "codes": None, "codes_inline": None,
+              "include_limits": False}, ()),
+    "omega": (cmd_omega, "omega-scrambling surrogates for a code pair",
+              {"horizon": None, "quick": False, "factor_len": "5..20",
+               "fmt": ("csv", "text")}, (
+        ("s", dict(help="first code")), ("t", dict(help="second code")))),
+    "sturmian-check": (cmd_sturmian_check, "no-Li-Yorke certificates for Sturmian shifts",
+                       {"horizon": QUICK_N, "resolution": QUICK_M, "quick": False,
+                        "fmt": ("text", "csv")}, (
+        ("--angle", dict(default="1/4*sqrt(2)", help="rotation angle surd")),
+        ("--max-shift", dict(type=int, default=50)))),
+    "sclosed-check": (cmd_sclosed_check, "limit coherence along the nested code family",
+                      {"horizon": QUICK_N, "codes": None, "codes_inline": None}, (
+        ("--depth", dict(type=int, default=10)),)),
+    "dendrite iterate": (cmd_iterate, "orbit of a point literal",
+                         {"horizon": 10_000, "codes": None, "codes_inline": None,
+                          "language": "family"}, (
+        ("point", dict(help="root | branch:<w> | int:<w>:<t> | end:<spec>")),
+        ("--steps", dict(type=int, default=10, help="cap for endpoint orbits")))),
+    "dendrite graph": (cmd_graph, "emit DOT tree",
+                       {"horizon": 10_000, "codes": None, "codes_inline": None,
+                        "fmt": ("dot",), "language": "family"}, (
+        ("--depth", dict(type=int, default=6)),)),
+    "dendrite check": (cmd_check, "no-isolated-points and f-invariance checks",
+                       {"horizon": 10_000, "codes": None, "codes_inline": None,
+                        "factor_len": "5", "language": "family"}, (
+        ("--ext", dict(type=int, default=10)),)),
 }
 
 
-def _command(sub, name: str, run: Callable[[argparse.Namespace], int],
-             **kwargs) -> argparse.ArgumentParser:
-    sp = sub.add_parser(name.rpartition(" ")[2], allow_abbrev=False, **kwargs)
+def _command(sub, name: str) -> None:
+    run, help_text, reads, own = _COMMANDS[name]
+    sp = sub.add_parser(name.rpartition(" ")[2], allow_abbrev=False, help=help_text)
     sp.set_defaults(run=run, name=name)
-    for dest, default in (*_READS[name].items(), ("out", None), ("config", None)):
+    for dest, default in (*reads.items(), ("out", None), ("config", None)):
         flag, opts = _SHARED[dest]
         if dest == "fmt":
             opts = dict(choices=default)
             default = default[0]
         sp.add_argument(flag, dest=dest, default=default, **opts)
-    return sp
+    for flag, opts in own:
+        sp.add_argument(flag, **opts)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parsing does not change the parser, and
-    # building it costs far more than a parse.
-    # Flags and config keys are spelled in full: a prefix is not a flag.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for one command of ``_COMMANDS``, or for all of them.
+
+    Built once per process and command: a parse does not change it, and
+    a build costs far more than a parse, the full one twice a narrow one.
+    An unread flag is reported in the top-level usage, so a one-command
+    parser lists every command name there.  Flags and config keys are
+    spelled in full: a prefix is not a flag.
+    """
     p = argparse.ArgumentParser(prog="gehman", description=__doc__.split("\n")[0],
                                 allow_abbrev=False)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = _command(sub, "gen", cmd_gen, help="print stream symbols")
-    sp.add_argument("spec", help="stream spec, e.g. x:000 or A:1/4*sqrt(2)")
-    sp.add_argument("count", type=int, help="number of symbols")
-
-    sp = _command(sub, "diamond", cmd_diamond,
-                  help="omega-limit inclusion checks for one code")
-    sp.add_argument("code", help="family code, e.g. 000")
-    sp.add_argument("--source-horizon", type=int, default=10_000)
-
-    sp = _command(sub, "pair", cmd_pair, help="classify one pair")
-    sp.add_argument("x", help="stream spec")
-    sp.add_argument("y", help="stream spec")
-
-    _command(sub, "scan", cmd_scan, help="scrambled-set scan over family points")
-
-    sp = _command(sub, "omega", cmd_omega,
-                  help="omega-scrambling surrogates for a code pair")
-    sp.add_argument("s", help="first code")
-    sp.add_argument("t", help="second code")
-
-    sp = _command(sub, "sturmian-check", cmd_sturmian_check,
-                  help="no-Li-Yorke certificates for Sturmian shifts")
-    sp.add_argument("--angle", default="1/4*sqrt(2)", help="rotation angle surd")
-    sp.add_argument("--max-shift", type=int, default=50)
-
-    sp = _command(sub, "sclosed-check", cmd_sclosed_check,
-                  help="limit coherence along the nested code family")
-    sp.add_argument("--depth", type=int, default=10)
-
-    # no shared options here: the subcommand's defaults would overwrite them
-    sp = sub.add_parser("dendrite", allow_abbrev=False, help="dendrite tools")
-    dsub = sp.add_subparsers(dest="dendrite_cmd", required=True)
-    dp = _command(dsub, "dendrite iterate", cmd_iterate, help="orbit of a point literal")
-    dp.add_argument("point", help="root | branch:<w> | int:<w>:<t> | end:<spec>")
-    dp.add_argument("--steps", type=int, default=10, help="cap for endpoint orbits")
-    dp = _command(dsub, "dendrite graph", cmd_graph, help="emit DOT tree")
-    dp.add_argument("--depth", type=int, default=6)
-    dp = _command(dsub, "dendrite check", cmd_check,
-                  help="no-isolated-points and f-invariance checks")
-    dp.add_argument("--ext", type=int, default=10)
+    names = "{%s}" % ",".join(dict.fromkeys(name.split()[0] for name in _COMMANDS))
+    sub = p.add_subparsers(dest="command", required=True, metavar=command and names)
+    dsub = None
+    for name in [command] if command else _COMMANDS:
+        if name.startswith("dendrite ") and dsub is None:
+            # no shared options here: the subcommand's defaults would overwrite them
+            sp = sub.add_parser("dendrite", allow_abbrev=False, help="dendrite tools")
+            dsub = sp.add_subparsers(dest="dendrite_cmd", required=True)
+        _command(dsub if name.startswith("dendrite ") else sub, name)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
+    head = argv[:2] if argv[:1] == ["dendrite"] else argv[:1]  # the command's words
+    name = " ".join(head)
+    parser = build_parser(name if name in _COMMANDS and name.split() == head else None)
     try:
         args = parser.parse_args(argv)
         if args.config:

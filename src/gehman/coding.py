@@ -488,14 +488,30 @@ def _unpack_words(values: np.ndarray, n: int) -> list[str]:
 class _Spectrum(NamedTuple):
     """Sorted distinct packed n_max-windows of a symbol range, with counts.
 
-    ``tail`` is the last n_max-1 symbols of the range: a shorter window
-    that starts after the last full n_max-window lies inside it.
+    ``tail`` holds, packed as n_max-windows with zeros past the range's
+    end, the windows that start in the last n_max-1 symbols: a shorter
+    window that starts after the last full n_max-window lies inside
+    them.  ``tallies`` keeps the read-only :func:`_counts_at` of each
+    length read so far; at n_max it is the spectrum's own arrays.
     """
 
     n_max: int
     values: np.ndarray
     counts: np.ndarray
     tail: np.ndarray
+    tallies: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def _spectrum(n: int, values: np.ndarray, counts: np.ndarray, end: np.ndarray) -> _Spectrum:
+    """The spectrum at length n of a range that ends with symbols ``end``.
+
+    No length-n window starts in the tail, so values and counts are
+    already the tally at n.
+    """
+    tail = end[max(end.shape[0] - n + 1, 0):]
+    padded = np.concatenate((tail, np.zeros(n - 1, dtype=tail.dtype)))
+    values.flags.writeable = counts.flags.writeable = False
+    return _Spectrum(n, values, counts, _packed_windows(padded, n), {n: (values, counts)})
 
 
 def _run_starts(v: np.ndarray) -> np.ndarray:
@@ -505,9 +521,13 @@ def _run_starts(v: np.ndarray) -> np.ndarray:
     return np.flatnonzero(edge)
 
 
-def _tally(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct entries of values, sorted, with the weights of each summed."""
-    order = np.argsort(values)
+def _tally(values: np.ndarray, weights: np.ndarray, kind=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct entries of values, sorted, with the weights of each summed.
+
+    ``kind`` is ``np.argsort``'s: a stable sort is the faster one on
+    values that come nearly sorted.
+    """
+    order = np.argsort(values, kind=kind)
     values = values[order]
     starts = _run_starts(values)
     counts = np.add.reduceat(weights[order], starts) if starts.size else weights[:0]
@@ -519,9 +539,7 @@ def _array_spectrum(arr: np.ndarray, n: int) -> _Spectrum:
     w = _packed_windows(arr, n)
     w.sort()  # in place: w is a fresh buffer
     starts = _run_starts(w)
-    values, counts = w[starts], np.diff(starts, append=w.size)
-    tail = arr[max(arr.shape[0] - n + 1, 0):].copy()
-    return _Spectrum(n, values, counts, tail)
+    return _spectrum(n, w[starts], np.diff(starts, append=w.size), arr)
 
 
 def _spectrum_for(x: WordLike, n: int, horizon: int, tail_start: int) -> _Spectrum:
@@ -550,12 +568,21 @@ def _counts_at(spec: _Spectrum, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct packed length-n windows (n <= n_max) and their counts.
 
     Each n_max-window counts for its n-prefix, and each length-n window
-    that starts in ``tail`` counts once; one tally sums them.
+    that starts in the tail counts once.  The prefixes come sorted, so
+    one stable tally sums them.  Each length is tallied once per
+    spectrum and kept on it, read-only.
     """
-    pref = spec.values >> np.uint64(spec.n_max - n)
-    tail = _packed_windows(spec.tail, n)
-    ones = np.ones(tail.size, dtype=spec.counts.dtype)
-    return _tally(np.concatenate((pref, tail)), np.concatenate((spec.counts, ones)))
+    got = spec.tallies.get(n)
+    if got is None:
+        shift = np.uint64(spec.n_max - n)
+        tail = spec.tail[:max(spec.tail.size - n + 1, 0)] >> shift
+        ones = np.ones(tail.size, dtype=spec.counts.dtype)
+        got = _tally(np.concatenate((spec.values >> shift, tail)),
+                     np.concatenate((spec.counts, ones)), "stable")
+        for a in got:
+            a.flags.writeable = False
+        spec.tallies[n] = got
+    return got
 
 
 def factors(x: WordLike, n: int, horizon: int) -> set[str]:

@@ -21,6 +21,7 @@ from gehman.coding import (
     _array_spectrum,
     _packed_windows,
     _Spectrum,
+    _spectrum,
     _tally,
     factors,
     recurrent_factors,
@@ -110,7 +111,7 @@ class DiamondStream(SymbolStream):
         The windows that start before block k_lo or after block k_hi are
         packed from raw segments of the interleaving, cut from the same
         blocks :meth:`_extend_to` writes (or sliced from the buffer when
-        it holds them); the last segment also gives ``tail``.  When
+        it holds them); the tail is packed from the last segment.  When
         k_hi < k_lo the whole range is packed raw.  The sources are
         asked for the prefix that ``array(horizon)`` asks them for, so a
         short or colliding source raises the same error.  The weighted
@@ -146,8 +147,7 @@ class DiamondStream(SymbolStream):
         values = np.concatenate([aw, bw, *once])
         ones = np.ones(sum(w.size for w in once), dtype=weight.dtype)
         values, counts = _tally(values, np.concatenate([weight, weight, ones]))
-        tail = rest[rest.shape[0] - n + 1:].copy()
-        return _Spectrum(n, values, counts, tail)
+        return _spectrum(n, values, counts, rest)
 
     def symbol(self, i: int) -> int:
         # O(1) index arithmetic plus one source lookup; the memoized

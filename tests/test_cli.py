@@ -804,12 +804,17 @@ class TestPlumbing:
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
 
-    def test_in_process_calls_match_fresh_processes(self, capsys, monkeypatch):
-        # main builds its parser once per process; each later call must
-        # print and exit exactly as a fresh process does
-        from gehman.cli import main
+    def test_in_process_calls_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        # main builds one parser per command once per process, and every
+        # command's for any other argv; each later call must print and
+        # exit exactly as a fresh process does
+        import argparse
+
+        from gehman.cli import build_parser, main
 
         monkeypatch.setenv("COLUMNS", "80")
+        config = tmp_path / "pair.cfg"
+        config.write_text("format=text\nhorizon=300\n", encoding="ascii")
         calls = [
             ["pair", "b:000", "b:111", "--horizon", "5000", "--resolution", "10"],
             ["omega", "000", "111", "--horizon", "20000", "--factor-len", "5..8"],
@@ -817,6 +822,14 @@ class TestPlumbing:
             ["pair", "x:000", "a:000", "--horizon", "many"],
             ["gen", "--help"],
             ["gen", "x:000", "12"],
+            ["--help"],
+            [],
+            ["bogus"],
+            ["dendrite"],
+            ["dendrite", "bogus"],
+            ["dendrite", "check", "--help"],
+            ["pair", "x:000", "a:000", "--resolution", "5", "--config", str(config)],
+            ["pair", "x:000", "a:000", "--bogus"],  # the top-level usage names every command
         ]
         for args in calls:
             code = main(args)
@@ -825,6 +838,13 @@ class TestPlumbing:
             assert (code, got.out, got.err) == (
                 fresh.returncode, fresh.stdout, fresh.stderr
             ), args
+        sub, = (a for a in build_parser("pair")._actions
+                if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == ["pair"]
+        # an unread flag is reported in the top-level usage, which names
+        # every command whichever parser was built
+        for name in _BASES:
+            assert build_parser(name).format_usage() == build_parser().format_usage()
 
 
 # One cheap invocation per command that its parser accepts, and the

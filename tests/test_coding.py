@@ -1085,6 +1085,103 @@ class TestDiamondSpectrum:
         assert (got.value.index, str(got.value)) == (want.value.index, str(want.value))
 
 
+def assert_fresh_tallies(spec, arr):
+    """Each length's tally off spec is the spectrum of the range arr at it."""
+    for n in range(1, spec.n_max + 1):
+        values, counts = coding._counts_at(spec, n)
+        fresh = coding._array_spectrum(arr, n)
+        assert values.dtype == fresh.values.dtype and counts.dtype == fresh.counts.dtype
+        assert (values.tolist(), counts.tolist()) == (fresh.values.tolist(), fresh.counts.tolist())
+
+
+@pytest.fixture
+def window_packs(monkeypatch):
+    """Lengths that coding._packed_windows packs while the test runs."""
+    packs = []
+    pack = coding._packed_windows
+    monkeypatch.setattr(coding, "_packed_windows", lambda arr, n: packs.append(n) or pack(arr, n))
+    return packs
+
+
+def two_rotations() -> DiamondStream:
+    return DiamondStream(sturmian_stream(SQRT2_4), sturmian_stream(SQRT3_8))
+
+
+class TestLengthTallies:
+    """A spectrum's tally at each length n <= n_max is the spectrum of
+    its range at n, read without packing and kept on the spectrum."""
+
+    @settings(max_examples=300)
+    @given(
+        st.text(alphabet="01", max_size=150),
+        st.integers(1, 64),
+        st.integers(0, 40),
+        st.integers(0, 30),
+        st.booleans(),
+    )
+    def test_words_and_arrays(self, word, n_max, extra, tail_start, as_array):
+        # a word shorter than the horizon gives a range shorter than it,
+        # often shorter than n_max - 1
+        x = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0") if as_array else word
+        horizon = len(word) + extra
+        spec = coding._spectrum_for(x, n_max, horizon, tail_start)
+        assert_fresh_tallies(spec, coding._bits_for(x, horizon)[tail_start:])
+
+    @pytest.mark.parametrize("make", [lambda: sturmian_stream(SQRT2_4), two_rotations,
+                                      lambda: diamond_of("0110100" * 30, "1" + "01" * 100)],
+                             ids=["rotation", "diamond", "word-diamond"])
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 20, 63, 64])
+    @pytest.mark.parametrize("horizon, tail_start", [(20_000, 0), (19_997, 333), (20_000, 19_980)])
+    def test_streams(self, make, n_max, horizon, tail_start, window_packs):
+        # the last range holds 20 symbols: fewer than n_max - 1 for n_max >= 22
+        x = make()
+        spec = coding._spectrum_for(x, n_max, horizon, tail_start)
+        assert spec.n_max == n_max and spec.tail.size == min(n_max - 1, horizon - tail_start)
+        del window_packs[:]
+        for n in range(1, n_max + 1):
+            coding._counts_at(spec, n)
+        assert window_packs == []  # the tail was packed with the spectrum
+        assert_fresh_tallies(spec, make().array(horizon)[tail_start:])
+
+    def test_short_range(self):
+        # 4 symbols at n_max 64: the tail holds all of them, and every
+        # length past 4 has no window
+        spec = coding._spectrum_for("0110", 64, 64, 0)
+        assert (spec.values.size, spec.tail.size) == (0, 4)
+        got = [coding._counts_at(spec, n)[1].tolist() for n in range(1, 7)]
+        assert got == [[2, 2], [1, 1, 1], [1, 1], [1], [], []]
+
+    def test_rebuild_past_twice_n_max(self):
+        x = sturmian_stream(SQRT2_4)
+        for n, held in ((10, 10), (25, 25), (30, 50)):
+            spec = coding._spectrum_for(x, n, 5_000, 7)
+            assert spec.n_max == held
+            assert_fresh_tallies(spec, x.array(5_000)[7:])
+
+    def test_second_call_keeps_read_only_arrays(self):
+        spec = coding._spectrum_for(two_rotations(), 20, 20_000, 100)
+        for n in (20, 5, 1):
+            first = coding._counts_at(spec, n)
+            again = coding._counts_at(spec, n)
+            assert all(a is b for a, b in zip(first, again))
+            assert not any(a.flags.writeable for a in again)
+            with pytest.raises(ValueError):
+                again[0][0] = 0
+        assert sorted(spec.tallies) == [1, 5, 20]
+
+    @pytest.mark.parametrize("make", [lambda: sturmian_stream(SQRT3_8), two_rotations],
+                             ids=["rotation", "diamond"])
+    def test_length_orders_give_one_set(self, make):
+        horizon = 6_000
+        word = make().word(horizon)
+        up, down = make(), make()
+        got_up = {n: factors(up, n, horizon) for n in range(1, 65)}
+        got_down = {n: factors(down, n, horizon) for n in range(64, 0, -1)}
+        assert got_up == got_down
+        for n in (1, 2, 13, 64):
+            assert got_up[n] == counted_words(word, n)
+
+
 class TestAtoms:
     def test_profiles_shared_per_angle_mod_one(self):
         assert atom_profile(SQRT3_8) is atom_profile(SQRT3_8 + 1)
