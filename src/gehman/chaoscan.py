@@ -524,8 +524,9 @@ def certified_b_distality(
         raise ValueError("certified_b_distality requires distinct codes")
     if p < 0 or q < 0:
         raise ValueError("shifts must be nonnegative")
-    u = mod1(QuadSurd(r_of(cs, config)) + p * config.beta)
-    v = mod1(QuadSurd(r_of(ct, config)) + q * config.beta)
+    r_s, r_t = r_of(cs, config), r_of(ct, config)
+    u = mod1(r_s + p * config.beta)
+    v = mod1(r_t + q * config.beta)
     delta = circle_distance(u, v)
     if delta.sign() == 0:
         # beta is irrational, so a zero offset means p = q and r_s = r_t
@@ -541,8 +542,8 @@ def certified_b_distality(
         derivation={
             "p": p,
             "q": q,
-            "r_s": str(r_of(cs, config)),
-            "r_t": str(r_of(ct, config)),
+            "r_s": str(r_s),
+            "r_t": str(r_t),
         },
     )
 

@@ -45,6 +45,7 @@ from gehman.dendrite import (
     Branch,
     End,
     Interior,
+    MAX_DECIDED_LEN,
     Root,
     ROOT,
     apply_f,
@@ -491,6 +492,12 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     pt = parse_point_literal(args.point)
     if isinstance(pt, (Branch, Interior)) and not model.accepts(pt.w):
         raise SpecError(f"address rejected by the model: {pt.w!r}")
+    if isinstance(pt, End):
+        # an endpoint is checked as far as the family model decides
+        w = pt.stream.word(MAX_DECIDED_LEN)
+        if not model.accepts(w):
+            k = next(k for k in range(1, len(w) + 1) if not model.accepts(w[:k]))
+            raise SpecError(f"address rejected by the model: {w[:k]!r}")
     lines = []
     if isinstance(pt, Root):
         lines.append("0: root")

@@ -23,6 +23,10 @@ from gehman.family import DEFAULT_CODES, DEFAULT_CONFIG, FamilyConfig, language_
 
 NEVER = "never"
 
+# factor sets pack each word into 64 bits, so the family model decides
+# words of at most this many symbols
+MAX_DECIDED_LEN = 64
+
 
 def _check_word(w: str) -> str:
     if not w or any(c not in "01" for c in w):
@@ -136,9 +140,10 @@ def family_model(
         return language_of_X(code_list, n, horizon, config)
 
     def oracle(w: str) -> bool:
-        if len(w) > 64:  # factor sets pack each word into 64 bits
+        if len(w) > MAX_DECIDED_LEN:
             raise ValueError(
-                f"the family model decides words of at most 64 symbols, not {len(w)}"
+                f"the family model decides words of at most {MAX_DECIDED_LEN} symbols,"
+                f" not {len(w)}"
             )
         return w in language(len(w))
 

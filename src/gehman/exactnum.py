@@ -2,7 +2,14 @@
 
 A value is ``a + b*sqrt(d)`` with ``a``, ``b`` rational and ``d`` a
 square-free integer; purely rational values are normalized to ``d == 1``
-with ``b == 0``.  Every predicate that drives a symbolic decision (sign,
+with ``b == 0``.  Every instance keeps this canonical form: ``a`` and
+``b`` are :class:`~fractions.Fraction`, ``d`` is square-free, and
+``d == 1`` exactly when ``b == 0``.  The public constructor normalizes
+any input into it.  ``+``, ``-``, unary ``-``, ``*``, inversion and the
+coercion of an int or Fraction combine parts that are already canonical,
+so they build their result with the private :meth:`QuadSurd._raw`,
+which skips the square-free split and only collapses a zero ``b`` to
+``d == 1``.  Every predicate that drives a symbolic decision (sign,
 comparison, floor) is computed with integer arithmetic only: a comparison
 hands the cross-multiplied numerators of the difference to
 :func:`surd_sign_int` without building a difference surd.  There are no
@@ -30,6 +37,8 @@ from math import isqrt
 from typing import Union
 
 RationalLike = Union[int, Fraction]
+
+_ZERO = Fraction(0)  # the irrational part of a coerced rational
 
 
 class MixedFieldError(TypeError):
@@ -141,6 +150,19 @@ class QuadSurd:
         self.b = b
         self.d = d
 
+    @classmethod
+    def _raw(cls, a: Fraction, b: Fraction, d: int) -> "QuadSurd":
+        """The surd of canonical parts: Fraction a and b, square-free d.
+
+        Its only normalization is the collapse of b == 0 to d == 1, so d
+        must come from a canonical operand of the same field.
+        """
+        new = object.__new__(cls)
+        new.a = a
+        new.b = b
+        new.d = d if b else 1
+        return new
+
     # -- classification ------------------------------------------------
 
     @property
@@ -162,7 +184,8 @@ class QuadSurd:
         if isinstance(value, QuadSurd):
             return value
         if isinstance(value, (int, Fraction)):
-            return QuadSurd(value)
+            a = value if isinstance(value, Fraction) else Fraction(value)
+            return QuadSurd._raw(a, _ZERO, 1)
         return None
 
     def _join_d(self, other: "QuadSurd") -> int:
@@ -177,39 +200,42 @@ class QuadSurd:
         return self.d
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._join_d(o)
-        return QuadSurd(self.a + o.a, self.b + o.b, d)
+        if isinstance(other, QuadSurd):
+            d = self._join_d(other)
+            return QuadSurd._raw(self.a + other.a, self.b + other.b, d)
+        if isinstance(other, (int, Fraction)):
+            return QuadSurd._raw(self.a + other, self.b, self.d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadSurd(-self.a, -self.b, self.d)
+        return QuadSurd._raw(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, QuadSurd):
+            d = self._join_d(other)
+            return QuadSurd._raw(self.a - other.a, self.b - other.b, d)
+        if isinstance(other, (int, Fraction)):
+            return QuadSurd._raw(self.a - other, self.b, self.d)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        if isinstance(other, (int, Fraction)):
+            return QuadSurd._raw(other - self.a, -self.b, self.d)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._join_d(o)
-        return QuadSurd(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            d,
-        )
+        if isinstance(other, QuadSurd):
+            d = self._join_d(other)
+            return QuadSurd._raw(
+                self.a * other.a + self.b * other.b * d,
+                self.a * other.b + self.b * other.a,
+                d,
+            )
+        if isinstance(other, (int, Fraction)):
+            return QuadSurd._raw(self.a * other, self.b * other, self.d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -218,7 +244,7 @@ class QuadSurd:
             raise ZeroDivisionError("division by zero surd")
         norm = self.a * self.a - self.b * self.b * self.d
         # norm == 0 would force a = b = 0 (sqrt(d) irrational), caught above
-        return QuadSurd(self.a / norm, -self.b / norm, self.d)
+        return QuadSurd._raw(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -334,7 +360,7 @@ def circle_distance(x, y) -> QuadSurd:
     t = mod1(QuadSurd._coerce(x) - y)
     if t <= Fraction(1, 2):
         return t
-    return QuadSurd(1) - t
+    return 1 - t
 
 
 # -- textual surd literals ----------------------------------------------

@@ -105,23 +105,27 @@ class FamilyConfig:
 DEFAULT_CONFIG = FamilyConfig()
 
 
+def _code_offset(code: AlphaCode, weight: int) -> Fraction:
+    """sum_i s_i * weight^-(i+1) over the code, i 1-based: N / weight^(len+1).
+
+    N is the code read as a base-weight integer, built by Horner's rule
+    since ``int(code, weight)`` stops at base 36.
+    """
+    N = 0
+    for c in code.s:
+        N = N * weight + int(c)
+    return Fraction(N, weight ** (len(code.s) + 1))
+
+
 def alpha_of(s: CodeLike, config: FamilyConfig = DEFAULT_CONFIG) -> QuadSurd:
     """Exact angle alpha_s; irrational, inside (0, 1/2)."""
-    code = _code(s)
-    offset = sum(
-        (Fraction(int(c), config.alpha_weight ** (i + 2)) for i, c in enumerate(code.s)),
-        Fraction(0),
-    )
-    return config.alpha_base + offset
+    return config.alpha_base + _code_offset(_code(s), config.alpha_weight)
 
 
 def r_of(s: CodeLike, config: FamilyConfig = DEFAULT_CONFIG) -> Fraction:
     """Exact rational base point r_s; never 0 or 1/4 mod 1, which
     :class:`FamilyConfig` checks for every code."""
-    code = _code(s)
-    return config.r_base + sum(
-        Fraction(int(c), config.r_weight ** (i + 2)) for i, c in enumerate(code.s)
-    )
+    return config.r_base + _code_offset(_code(s), config.r_weight)
 
 
 def _refuse_alias(

@@ -525,6 +525,21 @@ class TestDendriteCmd:
         assert p.returncode == 2
         assert "rejected" in p.stderr
 
+    def test_iterate_rejected_endpoint(self):
+        # exited 0: only branch: and int: addresses were checked; the
+        # error names the shortest rejected prefix
+        p = run_cli("dendrite", "iterate", "end:per:1", "--codes-inline", "000")
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == "error: address rejected by the model: '111111111'\n"
+
+    def test_iterate_accepted_endpoint(self):
+        p = run_cli(
+            "dendrite", "iterate", "end:x:000", "--steps", "1", "--codes-inline", "000"
+        )
+        assert p.returncode == 0
+        assert p.stdout == "1: end:shift(x:000,1)\nsteps_to_root: never\n"
+
     def test_long_rejected_address_is_usage_error(self, capsys):
         # accepts recursed once per symbol: both exited 1 with RecursionError
         from gehman.cli import main

@@ -278,6 +278,47 @@ class TestCircle:
         assert (q - r).as_fraction().denominator == 1
 
 
+@st.composite
+def field_operands(draw):
+    """A surd of one field, and a surd of that field, a Fraction or an int."""
+    d = draw(st.sampled_from([2, 3, 5, 6]))
+    x = draw(surds(d))
+    y = draw(st.one_of(surds(d), rationals, st.integers(-8, 8), st.just(0)))
+    return x, y
+
+
+def assert_canonical(r):
+    # the public constructor normalizes: equal parts and hash mean r was
+    # already in canonical form
+    n = QuadSurd(r.a, r.b, r.d)
+    assert (type(r.a), type(r.b), type(r.d)) == (Fraction, Fraction, int)
+    assert (r.a, r.b, r.d) == (n.a, n.b, n.d)
+    assert hash(r) == hash(n)
+
+
+class TestCanonicalResults:
+    """Results built from canonical parts equal a full normalization."""
+
+    @given(field_operands())
+    def test_arithmetic_and_circle_results(self, pair):
+        x, y = pair
+        results = [x + y, y + x, x - y, y - x, -x, x * y, y * x, x * 0, 0 * x]
+        results += [x - x, (x + y) - x]  # parts that cancel
+        results += [mod1(x), mod1(y), circle_distance(x, y), circle_distance(y, x)]
+        results.append(x * QuadSurd(x.a, -x.b, x.d))  # conjugates: rational
+        if y != 0:
+            results += [x / y, y / x] if x != 0 else [x / y]
+        for r in results:
+            assert_canonical(r)
+
+    def test_mixed_fields_still_raise(self):
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__lt__"):
+            with pytest.raises(MixedFieldError):
+                getattr(SQRT2, op)(SQRT3)
+        with pytest.raises(MixedFieldError):
+            circle_distance(SQRT2, SQRT3)
+
+
 class TestParse:
     @pytest.mark.parametrize(
         "text,value",

@@ -174,6 +174,34 @@ class TestParameters:
         FamilyConfig(alpha_weight=3, r_weight=3)
 
 
+def digit_sum(code: str, weight: int) -> Fraction:
+    # the defining sum of FamilyConfig: s_i * weight^-(i+1), i 1-based
+    return sum(
+        (Fraction(int(c), weight ** (i + 2)) for i, c in enumerate(code)), Fraction(0)
+    )
+
+
+ALL_CODES_TO_12 = [format(v, f"0{n}b") for n in range(1, 13) for v in range(2**n)]
+
+WIDE_CONFIG = FamilyConfig(alpha_weight=37, r_weight=40)  # past int()'s base 36
+
+
+class TestClosedFormPoints:
+    def test_all_short_codes_counted(self):
+        assert len(ALL_CODES_TO_12) == 8190
+
+    @pytest.mark.parametrize("config", [DEFAULT_CONFIG, WIDE_CONFIG], ids=["default", "wide"])
+    def test_points_equal_the_digit_sum(self, config):
+        for code in ALL_CODES_TO_12:
+            alpha = alpha_of(code, config)
+            want = config.alpha_base + digit_sum(code, config.alpha_weight)
+            assert (alpha.a, alpha.b, alpha.d) == (want.a, want.b, want.d)
+            assert hash(alpha) == hash(want)
+            r = r_of(code, config)
+            assert type(r) is Fraction
+            assert r == config.r_base + digit_sum(code, config.r_weight)
+
+
 class TestStreams:
     def test_frozen_prefixes_and_labels(self):
         assert a_stream("000").word(4) == "1111"
